@@ -52,19 +52,25 @@
 //!
 //! A pooled runner may legitimately see the file tree **edited between
 //! batches** (never during one). Coherence is generation-based: every
-//! batch starts a new shared-cache generation, so each worker's L1
-//! entries and the shared path→hash memo revalidate against current
-//! file bytes on first touch, and unchanged files keep their artifacts
-//! while edited ones miss into a fresh lex.
+//! batch starts a new shared-cache generation, in which each worker's
+//! L1 entries and the shared path→hash memo revalidate against current
+//! file bytes, and unchanged files keep their artifacts while edited
+//! ones miss into a fresh lex. The batch asks its tree what changed
+//! ([`FileSystem::take_changes`]): a tree that keeps a log of its
+//! writes (`SharedMemFs`, a resolver-less `DriverFs`) names the edited
+//! paths, and only those are read and hashed again; a tree that cannot
+//! tell (`DiskFs`, a resolver) has every path rehashed on first touch.
 //!
 //! On top of that, [`CorpusOptions::warm`] enables the pool's **unit
 //! result memo**: each completed unit is stored under its path, an
 //! options/profile signature, and its include-closure dependency
 //! fingerprint (the sorted `(path, content hash)` set the preprocessor
-//! observed). A later warm batch revalidates the fingerprint — pure
-//! hash-memo lookups, no lexing — and on a match replays the cached
-//! [`UnitReport`] without scheduling any preprocessing, parsing, or
-//! linting. Replayed reports are byte-identical to what a cold run
+//! observed, plus the failed include probes). A later warm batch
+//! revalidates the fingerprint — pure hash-memo lookups, no lexing, and
+//! no lookups at all for an entry valid in the previous batch whose
+//! paths the change set does not name — and on a match replays the
+//! cached [`UnitReport`] without scheduling any preprocessing, parsing,
+//! or linting. Replayed reports are byte-identical to what a cold run
 //! over the same tree would produce (that is gated in `tests/warm.rs`,
 //! `bench_snapshot`, and verify.sh); only the schedule-dependent cache
 //! gauges differ, and those are excluded from every determinism
@@ -92,7 +98,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -464,6 +470,13 @@ fn chunk_size(n_units: usize, workers: usize) -> usize {
 /// probe path now exists — creating a file that shadows a header
 /// earlier on the include path invalidates exactly the units whose
 /// resolution walked past that path.
+///
+/// **Fast path.** Each entry records the generation in which it was
+/// last proven valid. When the tree reported its changes since the
+/// previous generation and the entry was valid in that generation, the
+/// entry is still valid unless one of its dependency paths (positive
+/// or negative) is among the changed ones, so it replays with no
+/// probes at all. Every other lookup takes the full probe.
 struct UnitMemo {
     entries: std::sync::RwLock<superc_util::FastMap<(String, u64), Arc<MemoEntry>>>,
 }
@@ -475,6 +488,30 @@ struct MemoEntry {
     /// entry is only valid while every one of them stays absent.
     neg_deps: Vec<String>,
     report: UnitReport,
+    /// The latest generation in which the entry was proven valid (by
+    /// its store, a full probe, or the fast path). Relaxed: it publishes
+    /// no other data, and the runner's channels order one batch's
+    /// stamps before the next batch's reads.
+    proven: AtomicU64,
+}
+
+impl MemoEntry {
+    /// Does any path of the fingerprint appear in `changed` (sorted)?
+    fn touches(&self, changed: &[String]) -> bool {
+        let hit = |p: &str| changed.binary_search_by(|c| c.as_str().cmp(p)).is_ok();
+        self.deps.iter().any(|(p, _)| hit(p)) || self.neg_deps.iter().any(|p| hit(p))
+    }
+
+    /// The full probe: every recorded dependency still has its recorded
+    /// content hash and every recorded failed probe path is still
+    /// absent.
+    fn revalidates(&self, dep_hash: &dyn Fn(&str) -> Option<u64>) -> bool {
+        // A formerly-failed probe that now resolves means include
+        // resolution would take a different path (a shadowing header
+        // appeared): the stored report is stale.
+        self.deps.iter().all(|(p, h)| dep_hash(p) == Some(*h))
+            && self.neg_deps.iter().all(|p| dep_hash(p).is_none())
+    }
 }
 
 impl UnitMemo {
@@ -482,68 +519,6 @@ impl UnitMemo {
         UnitMemo {
             entries: std::sync::RwLock::new(superc_util::FastMap::default()),
         }
-    }
-
-    /// Replays the stored report for `(path, sig)` if every recorded
-    /// dependency still has its recorded content hash and every
-    /// recorded failed probe path is still absent.
-    fn lookup(
-        &self,
-        path: &str,
-        sig: u64,
-        dep_hash: &dyn Fn(&str) -> Option<u64>,
-    ) -> Option<UnitReport> {
-        let entry = self
-            .entries
-            .read()
-            .expect("unit memo poisoned")
-            .get(&(path.to_string(), sig))
-            .cloned()?;
-        for (p, h) in &entry.deps {
-            if dep_hash(p) != Some(*h) {
-                return None;
-            }
-        }
-        for p in &entry.neg_deps {
-            // A formerly-failed probe that now resolves means include
-            // resolution would take a different path (a shadowing
-            // header appeared): the stored report is stale.
-            if dep_hash(p).is_some() {
-                return None;
-            }
-        }
-        let mut report = entry.report.clone();
-        report.memo_hit = true;
-        Some(report)
-    }
-
-    /// Stores a completed unit. Bypassed for units with no recorded
-    /// fingerprint (no shared cache), budget-degraded units (wall-clock
-    /// budgets make their outcome schedule-dependent), and failed or
-    /// panicked units — those recompute every time.
-    fn store(
-        &self,
-        path: &str,
-        sig: u64,
-        deps: Vec<(String, u64)>,
-        neg_deps: Vec<String>,
-        report: &UnitReport,
-    ) {
-        if deps.is_empty()
-            || report.partial
-            || report.parse.budget_trips > 0
-            || report.failure.is_some()
-        {
-            return;
-        }
-        self.entries.write().expect("unit memo poisoned").insert(
-            (path.to_string(), sig),
-            Arc::new(MemoEntry {
-                deps,
-                neg_deps,
-                report: report.clone(),
-            }),
-        );
     }
 }
 
@@ -589,7 +564,7 @@ fn claim_loop<F: FileSystem>(
     make_tool: &dyn Fn() -> SuperC<F>,
     units: &[String],
     copts: &CorpusOptions,
-    memo: Option<(&UnitMemo, u64)>,
+    memo: Option<&MemoCtx>,
     cursor: &AtomicUsize,
     chunk: usize,
     out: &mut Vec<(usize, UnitReport)>,
@@ -604,8 +579,8 @@ fn claim_loop<F: FileSystem>(
         let end = (base + chunk).min(units.len());
         for (i, path) in units[base..end].iter().enumerate() {
             let i = base + i;
-            if let Some((memo, sig)) = memo {
-                if let Some(hit) = memo.lookup(path, sig, &|p| tool.preprocessor().dep_hash(p)) {
+            if let Some(memo) = memo {
+                if let Some(hit) = memo.lookup(path, 0, &|p| tool.preprocessor().dep_hash(p)) {
                     *memo_hits += 1;
                     out.push((i, hit));
                     continue;
@@ -621,10 +596,10 @@ fn claim_loop<F: FileSystem>(
                     UnitReport::failed(path, "panic", &format!("panic: {message}"))
                 }
             };
-            if let Some((memo, sig)) = memo {
+            if let Some(memo) = memo {
                 memo.store(
                     path,
-                    sig,
+                    0,
                     tool.preprocessor().unit_deps(),
                     tool.preprocessor().unit_neg_deps(),
                     &report,
@@ -961,7 +936,7 @@ fn profiles_claim_loop<F: FileSystem>(
     units: &[String],
     profiles: &[Profile],
     copts: &CorpusOptions,
-    memo: Option<(&UnitMemo, &[u64])>,
+    memo: Option<&MemoCtx>,
     cursor: &AtomicUsize,
     chunk: usize,
     out: &mut Vec<(usize, UnitReport)>,
@@ -980,9 +955,8 @@ fn profiles_claim_loop<F: FileSystem>(
             let path = &units[u];
             let name = &profiles[p].name;
             let tool = tools.entry(name.clone()).or_insert_with(|| make_tool(p));
-            if let Some((memo, sigs)) = memo {
-                if let Some(hit) = memo.lookup(path, sigs[p], &|q| tool.preprocessor().dep_hash(q))
-                {
+            if let Some(memo) = memo {
+                if let Some(hit) = memo.lookup(path, p, &|q| tool.preprocessor().dep_hash(q)) {
                     *memo_hits += 1;
                     out.push((t, hit));
                     continue;
@@ -996,7 +970,7 @@ fn profiles_claim_loop<F: FileSystem>(
                     UnitReport::failed(path, "panic", &format!("panic: {message}"))
                 }
             };
-            if let Some((memo, sigs)) = memo {
+            if let Some(memo) = memo {
                 let (deps, neg_deps) = tools
                     .get(name)
                     .map(|tool| {
@@ -1006,7 +980,7 @@ fn profiles_claim_loop<F: FileSystem>(
                         )
                     })
                     .unwrap_or_default();
-                memo.store(path, sigs[p], deps, neg_deps, &report);
+                memo.store(path, p, deps, neg_deps, &report);
             }
             out.push((t, report));
         }
@@ -1158,12 +1132,84 @@ struct Batch {
 }
 
 /// The warm-mode context a batch carries to every worker: the pool's
-/// result memo and the per-profile options signatures (one entry for a
-/// plain batch, one per profile for a grid batch).
+/// result memo, the per-profile options signatures (one entry for a
+/// plain batch, one per profile for a grid batch), and what the batch
+/// knows about edits since the previous one.
 #[derive(Clone)]
 struct MemoCtx {
     memo: Arc<UnitMemo>,
     sigs: Arc<Vec<u64>>,
+    /// The batch's shared-cache generation.
+    gen: u64,
+    /// The sorted paths the tree reported as changed since the previous
+    /// generation; `None` when it cannot tell.
+    changed: Option<Arc<Vec<String>>>,
+}
+
+impl MemoCtx {
+    /// Replays the stored report for `path` under profile `p`'s
+    /// signature if it is still valid in this batch's generation: with
+    /// no probes when the fast path applies (see [`UnitMemo`]), else by
+    /// the full probe.
+    fn lookup(
+        &self,
+        path: &str,
+        p: usize,
+        dep_hash: &dyn Fn(&str) -> Option<u64>,
+    ) -> Option<UnitReport> {
+        let entry = self
+            .memo
+            .entries
+            .read()
+            .expect("unit memo poisoned")
+            .get(&(path.to_string(), self.sigs[p]))
+            .cloned()?;
+        let untouched = self.changed.as_ref().is_some_and(|changed| {
+            entry.proven.load(Ordering::Relaxed) + 1 == self.gen && !entry.touches(changed)
+        });
+        if !untouched && !entry.revalidates(dep_hash) {
+            return None;
+        }
+        entry.proven.store(self.gen, Ordering::Relaxed);
+        let mut report = entry.report.clone();
+        report.memo_hit = true;
+        Some(report)
+    }
+
+    /// Stores a unit completed in this batch under profile `p`'s
+    /// signature. Bypassed for units with no recorded fingerprint (no
+    /// shared cache), budget-degraded units (wall-clock budgets make
+    /// their outcome schedule-dependent), and failed or panicked units —
+    /// those recompute every time.
+    fn store(
+        &self,
+        path: &str,
+        p: usize,
+        deps: Vec<(String, u64)>,
+        neg_deps: Vec<String>,
+        report: &UnitReport,
+    ) {
+        if deps.is_empty()
+            || report.partial
+            || report.parse.budget_trips > 0
+            || report.failure.is_some()
+        {
+            return;
+        }
+        self.memo
+            .entries
+            .write()
+            .expect("unit memo poisoned")
+            .insert(
+                (path.to_string(), self.sigs[p]),
+                Arc::new(MemoEntry {
+                    deps,
+                    neg_deps,
+                    report: report.clone(),
+                    proven: AtomicU64::new(self.gen),
+                }),
+            );
+    }
 }
 
 /// A persistent pool of corpus workers, reused across batches.
@@ -1202,8 +1248,8 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     txs: Vec<mpsc::Sender<Batch>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     /// The pool-wide L2 cache (`None` for `no_shared_cache` pools); the
-    /// runner bumps its generation at every batch boundary so workers
-    /// revalidate against possibly-edited file bytes.
+    /// runner starts a generation at every batch boundary so workers
+    /// revalidate the tree's changed paths.
     shared: Option<Arc<SharedCache>>,
     /// The pool's unit result memo, filled and consulted by warm
     /// batches ([`CorpusOptions::warm`]).
@@ -1211,7 +1257,8 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     /// The pool's base options, kept to compute per-batch options
     /// signatures for the memo.
     options: Options,
-    _fs: std::marker::PhantomData<F>,
+    /// The workers' tree, asked at every batch boundary what changed.
+    fs: Arc<F>,
 }
 
 impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
@@ -1269,14 +1316,13 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
                                 }
                                 tool
                             };
-                            let memo = batch.memo.as_ref().map(|m| (&*m.memo, &m.sigs[..]));
                             profiles_claim_loop(
                                 &mut profile_tools,
                                 &make_profile_tool,
                                 &batch.units,
                                 profiles,
                                 &batch.copts,
-                                memo,
+                                batch.memo.as_ref(),
                                 &batch.cursor,
                                 batch.chunk,
                                 &mut out,
@@ -1284,21 +1330,18 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
                                 &mut misses,
                             );
                         }
-                        None => {
-                            let memo = batch.memo.as_ref().map(|m| (&*m.memo, m.sigs[0]));
-                            claim_loop(
-                                &mut tool,
-                                &make_tool,
-                                &batch.units,
-                                &batch.copts,
-                                memo,
-                                &batch.cursor,
-                                batch.chunk,
-                                &mut out,
-                                &mut hits,
-                                &mut misses,
-                            )
-                        }
+                        None => claim_loop(
+                            &mut tool,
+                            &make_tool,
+                            &batch.units,
+                            &batch.copts,
+                            batch.memo.as_ref(),
+                            &batch.cursor,
+                            batch.chunk,
+                            &mut out,
+                            &mut hits,
+                            &mut misses,
+                        ),
                     }
                     // Cond/BDD gauges are worker-lifetime cumulative
                     // here (the manager persists across batches); they
@@ -1326,7 +1369,7 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
             shared,
             memo: Arc::new(UnitMemo::new()),
             options: options.clone(),
-            _fs: std::marker::PhantomData,
+            fs,
         }
     }
 
@@ -1342,24 +1385,28 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         self.shared.as_ref()
     }
 
-    /// Starts a new batch: bump the shared-cache generation so every
-    /// worker revalidates its cached view of the (possibly edited) file
-    /// tree, and record the rehash baseline for this batch's
-    /// `files_rehashed` gauge. Returns the warm-mode memo context when
-    /// the batch asked for one.
+    /// Starts a new batch: ask the tree what changed since the previous
+    /// batch, start a shared-cache generation that revalidates exactly
+    /// those paths (every path when the tree cannot tell), and record
+    /// the rehash baseline for this batch's `files_rehashed` gauge.
+    /// Returns the warm-mode memo context when the batch asked for one.
     fn start_batch(&self, copts: &CorpusOptions, sigs: Vec<u64>) -> (Option<MemoCtx>, u64) {
-        let rehash_base = match &self.shared {
-            Some(s) => {
-                s.next_generation();
-                s.rehashes()
-            }
-            None => 0,
+        let changed = self.fs.take_changes().map(|mut paths| {
+            paths.sort_unstable();
+            paths.dedup();
+            paths
+        });
+        let Some(s) = &self.shared else {
+            return (None, 0);
         };
-        let memo = (copts.warm && self.shared.is_some()).then(|| MemoCtx {
+        let gen = s.next_generation_with(changed.as_deref());
+        let memo = copts.warm.then(|| MemoCtx {
             memo: self.memo.clone(),
             sigs: Arc::new(sigs),
+            gen,
+            changed: changed.map(Arc::new),
         });
-        (memo, rehash_base)
+        (memo, s.rehashes())
     }
 
     /// Ends a batch: sweep dead artifacts out of the L2 after warm

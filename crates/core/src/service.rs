@@ -10,9 +10,19 @@
 //! with parse/lint requests. Edits are batched: [`Driver::begin_generation`]
 //! opens a batch, [`Driver::set_file`]/[`Driver::remove_file`] stage
 //! changes, [`Driver::end_generation`] commits them. The next request
-//! revalidates content hashes and replays every unit whose include
-//! closure (positive *and* negative dependencies — see
-//! `corpus::UnitMemo`) is untouched.
+//! replays every unit whose include closure (positive *and* negative
+//! dependencies — see `corpus::UnitMemo`) is untouched.
+//!
+//! What the next request must re-prove depends on where files come
+//! from. A driver without a resolver holds every file in its overlay,
+//! so it knows exactly which paths a generation staged
+//! ([`DriverFs`] logs them): the request reads and hashes only those,
+//! and a memoized unit none of whose dependency paths was staged
+//! replays with no probes at all. A driver with a resolver (the
+//! daemon's disk root, an embedder's callback) cannot know what changed
+//! behind the callback — a notify-only edit does not even name a staged
+//! file — so its next request rehashes every file it touches and
+//! probes every memoized fingerprint.
 //!
 //! Output byte-identity is part of the contract: rendered requests go
 //! through [`crate::cli`], the same code the `superc` binary prints
@@ -25,7 +35,7 @@
 //! open) land on the per-driver **last-error channel**, mirrored
 //! through `superc_last_error` in the C API.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, RwLock};
 
 use superc_cpp::FileSystem;
@@ -53,11 +63,21 @@ pub type ResolverFn = Box<dyn Fn(&str) -> Result<Option<String>, String> + Send 
 /// workers share one `Arc<DriverFs>`, and the coherence contract is the
 /// runner's — edits land only between batches, which the [`Driver`]'s
 /// generation protocol enforces.
+///
+/// Overlay edits are logged for [`FileSystem::take_changes`], so a
+/// resolver-less driver revalidates only the staged paths. A resolver
+/// can change what it serves without telling anyone, so while one is
+/// installed — and for the first batch after one is installed or
+/// cleared — the tree reports no change set and every path is
+/// revalidated.
 #[derive(Default)]
 pub struct DriverFs {
     /// `Some(contents)` = staged file; `None` = tombstone.
     overlay: RwLock<HashMap<String, Option<Arc<str>>>>,
     resolver: RwLock<Option<ResolverFn>>,
+    /// Overlay paths staged since the last `take_changes`; `None` while
+    /// the changes are unknown (a new tree, or a resolver swap since).
+    changed: Mutex<Option<BTreeSet<String>>>,
     /// Most recent service-layer error (resolver failures, misuse).
     last_error: Mutex<Option<String>>,
 }
@@ -70,24 +90,29 @@ impl DriverFs {
 
     /// Stages (adds or replaces) a file in the overlay.
     pub fn set(&self, path: &str, contents: &str) {
-        self.overlay
-            .write()
-            .expect("driver fs poisoned")
-            .insert(path.to_string(), Some(Arc::from(contents)));
+        self.stage(path, Some(Arc::from(contents)));
     }
 
     /// Tombstones a path: absent from now on, even if the resolver
     /// would produce it.
     pub fn tombstone(&self, path: &str) {
+        self.stage(path, None);
+    }
+
+    fn stage(&self, path: &str, entry: Option<Arc<str>>) {
         self.overlay
             .write()
             .expect("driver fs poisoned")
-            .insert(path.to_string(), None);
+            .insert(path.to_string(), entry);
+        if let Some(log) = self.changed.lock().expect("driver fs poisoned").as_mut() {
+            log.insert(path.to_string());
+        }
     }
 
     /// Installs (or clears) the fallback resolver.
     pub fn set_resolver(&self, resolver: Option<ResolverFn>) {
         *self.resolver.write().expect("driver fs poisoned") = resolver;
+        *self.changed.lock().expect("driver fs poisoned") = None;
     }
 
     /// Records an error on the last-error channel (newest wins).
@@ -118,6 +143,21 @@ impl FileSystem for DriverFs {
                 None
             }
         }
+    }
+
+    /// The overlay paths staged since the previous call, sorted; `None`
+    /// while a resolver is installed and on the first call after a
+    /// resolver swap (see the type docs).
+    fn take_changes(&self) -> Option<Vec<String>> {
+        let log = self
+            .changed
+            .lock()
+            .expect("driver fs poisoned")
+            .replace(BTreeSet::new());
+        if self.resolver.read().expect("driver fs poisoned").is_some() {
+            return None;
+        }
+        log.map(|paths| paths.into_iter().collect())
     }
 }
 
@@ -464,8 +504,8 @@ pub mod daemon {
                         driver.set_file(path, contents)?;
                     }
                     // No contents and no remove: a notify-only edit —
-                    // the file changed on disk; the next batch's
-                    // content-hash revalidation picks it up.
+                    // the file changed behind the resolver, whose
+                    // drivers revalidate every path each batch.
                     let generation = driver.end_generation()?;
                     Ok(Rendered {
                         stdout: format!("generation {generation}\n"),

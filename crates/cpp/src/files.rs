@@ -10,8 +10,12 @@
 //! (`superc::corpus`) borrows a single [`MemFs`]/[`DiskFs`] from every
 //! worker (via the blanket `impl FileSystem for &F`), and each worker's
 //! preprocessor caches the lexed form privately.
+//!
+//! Mutable trees can also say **what changed** between batches
+//! ([`FileSystem::take_changes`]), which lets a long-lived runner
+//! revalidate only the edited paths instead of rehashing every file.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
@@ -71,6 +75,19 @@ pub trait FileSystem {
         }
         None
     }
+
+    /// The paths whose contents may have changed (edited, created or
+    /// removed) since the previous call, draining the tree's change log;
+    /// `None` when the tree cannot enumerate its changes, which tells
+    /// the caller to revalidate every path.
+    ///
+    /// The log has one reader: the pooled corpus runner calls this at
+    /// every batch boundary, and a drained change is gone for any other
+    /// caller. A tree that feeds two runners must therefore keep the
+    /// default, so that both revalidate in full.
+    fn take_changes(&self) -> Option<Vec<String>> {
+        None
+    }
 }
 
 /// Shared references are file systems too: `std::thread::scope` workers
@@ -78,6 +95,10 @@ pub trait FileSystem {
 impl<F: FileSystem + ?Sized> FileSystem for &F {
     fn read(&self, path: &str) -> Option<Arc<str>> {
         (**self).read(path)
+    }
+
+    fn take_changes(&self) -> Option<Vec<String>> {
+        (**self).take_changes()
     }
 }
 
@@ -87,6 +108,10 @@ impl<F: FileSystem + ?Sized> FileSystem for &F {
 impl<F: FileSystem + ?Sized> FileSystem for Arc<F> {
     fn read(&self, path: &str) -> Option<Arc<str>> {
         (**self).read(path)
+    }
+
+    fn take_changes(&self) -> Option<Vec<String>> {
+        (**self).take_changes()
     }
 }
 
@@ -164,9 +189,10 @@ impl FileSystem for MemFs {
 /// incremental benchmark.
 ///
 /// Reads take a shared lock and bump a reference count; edits take the
-/// exclusive lock. The coherence contract is the pooled runner's: edits
-/// only happen at batch boundaries (no batch in flight), so workers
-/// never observe a file changing mid-run.
+/// exclusive lock and log the path for [`FileSystem::take_changes`]. The
+/// coherence contract is the pooled runner's: edits only happen at batch
+/// boundaries (no batch in flight), so workers never observe a file
+/// changing mid-run.
 ///
 /// # Examples
 ///
@@ -178,7 +204,15 @@ impl FileSystem for MemFs {
 /// ```
 #[derive(Debug, Default)]
 pub struct SharedMemFs {
-    files: RwLock<HashMap<String, Arc<str>>>,
+    tree: RwLock<MemTree>,
+}
+
+/// The files of a [`SharedMemFs`] and the paths edited since the last
+/// [`FileSystem::take_changes`], under one lock.
+#[derive(Debug, Default)]
+struct MemTree {
+    files: HashMap<String, Arc<str>>,
+    changed: BTreeSet<String>,
 }
 
 impl SharedMemFs {
@@ -195,34 +229,43 @@ impl SharedMemFs {
             .map(|(k, v)| (k.clone(), Arc::clone(v)))
             .collect();
         SharedMemFs {
-            files: RwLock::new(files),
+            tree: RwLock::new(MemTree {
+                files,
+                changed: BTreeSet::new(),
+            }),
         }
     }
 
     /// Adds or replaces a file through a shared handle.
     pub fn set(&self, path: &str, contents: &str) {
-        self.files
-            .write()
-            .expect("file tree lock poisoned")
-            .insert(path.to_string(), Arc::from(contents));
+        let mut tree = self.tree.write().expect("file tree lock poisoned");
+        tree.files.insert(path.to_string(), Arc::from(contents));
+        tree.changed.insert(path.to_string());
     }
 
     /// Removes a file; later reads of `path` see it as absent.
     pub fn remove(&self, path: &str) {
-        self.files
-            .write()
-            .expect("file tree lock poisoned")
-            .remove(path);
+        let mut tree = self.tree.write().expect("file tree lock poisoned");
+        tree.files.remove(path);
+        tree.changed.insert(path.to_string());
     }
 }
 
 impl FileSystem for SharedMemFs {
     fn read(&self, path: &str) -> Option<Arc<str>> {
-        self.files
+        self.tree
             .read()
             .expect("file tree lock poisoned")
+            .files
             .get(path)
             .cloned()
+    }
+
+    /// Every path [`SharedMemFs::set`] or [`SharedMemFs::remove`]
+    /// touched since the previous call, sorted.
+    fn take_changes(&self) -> Option<Vec<String>> {
+        let mut tree = self.tree.write().expect("file tree lock poisoned");
+        Some(std::mem::take(&mut tree.changed).into_iter().collect())
     }
 }
 
@@ -259,6 +302,23 @@ mod shared_fs_tests {
         fn assert_shareable<T: Send + Sync>() {}
         assert_shareable::<MemFs>();
         assert_shareable::<DiskFs>();
+    }
+
+    #[test]
+    fn shared_mem_fs_reports_each_edited_path_once() {
+        let fs = SharedMemFs::from_mem(&MemFs::new().file("a.h", "int a;\n"));
+        assert_eq!(fs.take_changes(), Some(vec![]));
+        fs.set("b.h", "int b;\n");
+        fs.set("a.h", "int a2;\n");
+        fs.remove("b.h");
+        let shared = Arc::new(fs);
+        assert_eq!(
+            shared.take_changes(),
+            Some(vec!["a.h".to_string(), "b.h".to_string()]),
+            "sorted, deduplicated, forwarded through Arc"
+        );
+        assert_eq!(shared.take_changes(), Some(vec![]), "the log drains");
+        assert_eq!(MemFs::new().take_changes(), None, "the default cannot tell");
     }
 
     #[test]

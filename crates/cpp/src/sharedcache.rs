@@ -20,24 +20,43 @@
 //! # Invalidation protocol
 //!
 //! Artifacts are keyed by the **content hash** of the file's bytes
-//! (FxHash64, see [`SharedCache::content_hash`]), not by path. An
-//! edited file therefore misses naturally — its new bytes hash to a new
-//! key — while every unchanged file keeps hitting, and two paths with
-//! identical bytes share one artifact. A sharded path → hash **memo**
-//! ([`SharedCache::current_hash`]) keeps the hot path cheap: each file's
-//! bytes are read and hashed at most once per **generation**.
+//! ([`SharedCache::content_hash`]), not by path. An edited file
+//! therefore misses naturally — its new bytes hash to a new key — while
+//! every unchanged file keeps hitting, and two paths with identical
+//! bytes share one artifact. A sharded path → hash **memo**
+//! ([`SharedCache::current_hash`]) keeps the hot path cheap: each
+//! path's bytes are read and hashed at most once per **generation**,
+//! and a missing path is recorded as absent, so it too is read at most
+//! once.
 //!
 //! Generations model batch boundaries in a long-lived process: within a
 //! generation, files are treated as immutable (the hash memo is
-//! authoritative); a caller that may have seen edits — the pooled
-//! corpus runner, at the start of every batch — calls
-//! [`SharedCache::next_generation`], which invalidates the hash memo
-//! wholesale and forces revalidation-by-rehash on first touch. Artifact
-//! entries whose hash is no longer any path's current content ("dead
-//! hashes") are reclaimed by [`SharedCache::sweep`].
+//! authoritative). The pooled corpus runner starts a generation before
+//! every batch with [`SharedCache::next_generation_with`], passing the
+//! paths its tree reports as changed since the previous batch:
+//!
+//! * **A change set** drops exactly those paths' memo rows; every other
+//!   row is restamped into the new generation and stays trusted without
+//!   a read. The restamp costs nothing: rows carry the generation they
+//!   were filled in, and a row is trusted while that generation is at or
+//!   above the memo's *floor*, which a change set leaves in place.
+//! * **No change set** (a tree that cannot enumerate its edits, such as
+//!   a disk tree or a resolver callback) raises the floor to the new
+//!   generation: every row expires and revalidates by rehash on first
+//!   touch. [`SharedCache::next_generation`] is this full form.
+//!
+//! Artifact entries whose hash is no longer any trusted row's content
+//! ("dead hashes") are reclaimed by [`SharedCache::sweep`].
 //!
 //! Remaining coherence notes:
 //!
+//! * **Each path is read once per generation, by one worker.** A row is
+//!   inserted before its file is read, and the read fills the row's
+//!   once-cell; a worker that misses on a path another worker is
+//!   already reading waits for that read instead of reading again. No
+//!   shard lock is held across the read, which may call into an
+//!   embedder's resolver. So a generation sees one snapshot of each
+//!   path, and `files_rehashed` counts distinct files.
 //! * **Positions are restamped on thaw.** Token positions embed the
 //!   lexing worker's [`FileId`], which is a per-worker notion; the
 //!   frozen form stores only line/column and the thaw stamps the local
@@ -48,9 +67,15 @@
 //!   the freeze closure, so two workers racing to publish the same
 //!   content pay the (expensive) freeze once; the loser's avoided work
 //!   is counted in [`SharedCache::duplicate_freezes`].
-//! * **Hash collisions are accepted.** Two distinct file contents
-//!   colliding in 64 bits has probability ~n²/2⁶⁵ for n distinct files
-//!   — negligible against the corpus sizes this serves.
+//! * **The content hash must mix every input bit.** An edit whose bytes
+//!   hash to the old key replays the old artifact and every memoized
+//!   unit over it. FxHash, which the in-memory maps use, mixes weakly:
+//!   one-digit edits of a header-shaped file collide far more often
+//!   than 64 random bits would. The key is therefore SipHash-1-3 with
+//!   fixed keys (std's `DefaultHasher`), for which distinct contents
+//!   collide like random 64-bit values: about n²/2⁶⁵ expected
+//!   collisions among n distinct versions. It costs about 20% more
+//!   than FxHash per byte, and a served edit hashes about one file.
 //!
 //! Failed lexes are *not* cached: errors are rare, unit-fatal, and
 //! re-deriving them per worker keeps the error path identical to the
@@ -58,7 +83,7 @@
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use superc_lexer::{FileId, SourcePos, Token, TokenKind};
 use superc_util::{FastMap, FastSet, FxBuildHasher};
@@ -435,9 +460,17 @@ impl SharedArtifact {
 /// One lock-guarded slice of the content-hash → artifact map.
 type Shard = RwLock<FastMap<u64, Arc<SharedArtifact>>>;
 
-/// One lock-guarded slice of the path → `(generation, content hash)`
-/// memo behind [`SharedCache::current_hash`].
-type HashShard = RwLock<FastMap<String, (u64, u64)>>;
+/// One path's row in the hash memo behind [`SharedCache::current_hash`]:
+/// the generation it was filled in, and a once-cell holding the content
+/// hash (`None` inside = absent). The cell is shared so a worker can
+/// wait for another worker's read without holding the shard lock.
+struct HashRow {
+    gen: u64,
+    hash: Arc<OnceLock<Option<u64>>>,
+}
+
+/// One lock-guarded slice of the path → [`HashRow`] memo.
+type HashShard = RwLock<FastMap<String, HashRow>>;
 
 /// The sharded content-hash-keyed artifact map plus the path → hash
 /// memo. One instance per corpus run or pooled runner, shared by `Arc`
@@ -445,10 +478,15 @@ type HashShard = RwLock<FastMap<String, (u64, u64)>>;
 pub struct SharedCache {
     shards: Box<[Shard]>,
     hashes: Box<[HashShard]>,
-    /// Current generation; bumped by [`SharedCache::next_generation`]
-    /// at batch boundaries to force hash revalidation.
+    /// Current generation; bumped by [`SharedCache::next_generation_with`]
+    /// at batch boundaries.
     generation: AtomicU64,
-    /// Files whose bytes were read and hashed (hash-memo misses).
+    /// Oldest generation whose hash-memo rows are still trusted: raised
+    /// to the current generation by a full invalidation, kept by a
+    /// targeted one.
+    floor: AtomicU64,
+    /// Files whose bytes were read and hashed (hash-memo misses on
+    /// present files; absent paths are not counted).
     rehashes: AtomicU64,
     /// Freezes avoided because [`SharedCache::insert_with`] found an
     /// incumbent under the write lock.
@@ -474,16 +512,21 @@ impl SharedCache {
             shards,
             hashes,
             generation: AtomicU64::new(1),
+            floor: AtomicU64::new(1),
             rehashes: AtomicU64::new(0),
             duplicate_freezes: AtomicU64::new(0),
         }
     }
 
-    /// FxHash64 of a file's bytes: the cache key. Deterministic across
-    /// processes (fixed seed), so fingerprints built from it are stable.
+    /// SipHash-1-3 (std's `DefaultHasher`, fixed keys) of a file's
+    /// bytes: the cache key. Deterministic across processes of one
+    /// build, so fingerprints built from it are stable; see the module
+    /// docs for why it is not FxHash.
     pub fn content_hash(bytes: &[u8]) -> u64 {
-        use std::hash::BuildHasher;
-        FxBuildHasher::default().hash_one(bytes)
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        h.write(bytes);
+        h.finish()
     }
 
     fn shard(&self, hash: u64) -> &Shard {
@@ -501,44 +544,97 @@ impl SharedCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Starts a new generation: every path's hash must be revalidated
-    /// against its current bytes before being trusted again. Called by
-    /// the pooled corpus runner at each batch boundary (the only point
-    /// where the file tree may have been edited).
+    /// Starts a new generation in which every path's hash must be
+    /// revalidated against its current bytes before being trusted again
+    /// (the full form of [`SharedCache::next_generation_with`]).
     pub fn next_generation(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1
+        self.next_generation_with(None)
+    }
+
+    /// Starts a new generation. Called by the pooled corpus runner at
+    /// each batch boundary (the only point where the file tree may have
+    /// been edited) with the paths the tree reports as changed since the
+    /// previous boundary: their memo rows are dropped and every other
+    /// row stays trusted. `None` — the tree cannot tell — expires every
+    /// row.
+    pub fn next_generation_with(&self, changed: Option<&[String]>) -> u64 {
+        let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        match changed {
+            Some(paths) => {
+                for p in paths {
+                    self.hash_shard(p)
+                        .write()
+                        .expect("shared cache shard poisoned")
+                        .remove(p.as_str());
+                }
+            }
+            None => self.floor.store(gen, Ordering::Release),
+        }
+        gen
     }
 
     /// The content hash of `path`'s current bytes, memoized per
     /// generation. On a memo miss, `read` supplies the bytes (returning
     /// `None` for a missing file); the freshly read contents are handed
     /// back so the caller can lex them without a second read. Returns
-    /// `None` when the file does not exist.
+    /// `None` when the file does not exist; that answer is memoized too.
+    ///
+    /// Single flight: when another worker is already reading `path` in
+    /// this generation, this call waits for its answer instead of
+    /// reading the file again (and gets no contents back).
     pub fn current_hash(
         &self,
         path: &str,
         read: impl FnOnce() -> Option<Arc<str>>,
     ) -> Option<(u64, Option<Arc<str>>)> {
-        let gen = self.generation();
-        {
-            let memo = self
-                .hash_shard(path)
-                .read()
-                .expect("shared cache shard poisoned");
-            if let Some(&(g, h)) = memo.get(path) {
-                if g == gen {
-                    return Some((h, None));
+        let floor = self.floor.load(Ordering::Acquire);
+        let shard = self.hash_shard(path);
+        let cell = {
+            let memo = shard.read().expect("shared cache shard poisoned");
+            match memo.get(path).filter(|row| row.gen >= floor) {
+                Some(row) => match row.hash.get() {
+                    Some(&known) => return known.map(|h| (h, None)),
+                    None => Arc::clone(&row.hash),
+                },
+                None => {
+                    drop(memo);
+                    let mut memo = shard.write().expect("shared cache shard poisoned");
+                    match memo.get(path).filter(|row| row.gen >= floor) {
+                        Some(row) => Arc::clone(&row.hash),
+                        None => {
+                            let cell = Arc::new(OnceLock::new());
+                            let row = HashRow {
+                                gen: self.generation(),
+                                hash: Arc::clone(&cell),
+                            };
+                            memo.insert(path.to_string(), row);
+                            cell
+                        }
+                    }
                 }
             }
-        }
-        let src = read()?;
-        let h = SharedCache::content_hash(src.as_bytes());
-        self.rehashes.fetch_add(1, Ordering::Relaxed);
+        };
+        let mut fresh = None;
+        let hash = *cell.get_or_init(|| {
+            let src = read()?;
+            self.rehashes.fetch_add(1, Ordering::Relaxed);
+            let h = SharedCache::content_hash(src.as_bytes());
+            fresh = Some(src);
+            Some(h)
+        });
+        hash.map(|h| (h, fresh))
+    }
+
+    /// How many handles share `path`'s hash cell: the memo row plus
+    /// each worker inside [`SharedCache::current_hash`] for it. Lets a
+    /// test see a waiter join an in-flight read.
+    #[cfg(test)]
+    pub(crate) fn hash_cell_holders(&self, path: &str) -> usize {
         self.hash_shard(path)
-            .write()
+            .read()
             .expect("shared cache shard poisoned")
-            .insert(path.to_string(), (gen, h));
-        Some((h, Some(src)))
+            .get(path)
+            .map_or(0, |row| Arc::strong_count(&row.hash))
     }
 
     /// The artifact for this content hash, if some worker already
@@ -576,22 +672,19 @@ impl SharedCache {
     }
 
     /// Evicts artifacts for **dead hashes**: entries whose hash is not
-    /// the current-generation hash of any path in the memo. Intended to
-    /// run right after a batch, while the memo reflects exactly the
-    /// files that batch touched; entries for files the batch never saw
-    /// are evicted too (they re-enter on next use). Also drops stale
-    /// hash-memo rows from earlier generations. Returns the number of
-    /// artifacts evicted.
+    /// the hash of any trusted row in the memo. Intended to run right
+    /// after a batch, when the trusted rows are the batch's files plus
+    /// every earlier file no change has touched since it was hashed;
+    /// artifacts for other files are evicted (they re-enter on next
+    /// use). Also drops the memo rows a full invalidation expired.
+    /// Returns the number of artifacts evicted.
     pub fn sweep(&self) -> usize {
-        let gen = self.generation();
+        let floor = self.floor.load(Ordering::Acquire);
         let mut live: FastSet<u64> = FastSet::default();
         for hs in &self.hashes {
-            let memo = hs.read().expect("shared cache shard poisoned");
-            for &(g, h) in memo.values() {
-                if g == gen {
-                    live.insert(h);
-                }
-            }
+            let mut memo = hs.write().expect("shared cache shard poisoned");
+            memo.retain(|_, row| row.gen >= floor && row.hash.get().is_some());
+            live.extend(memo.values().filter_map(|row| *row.hash.get()?));
         }
         let mut evicted = 0;
         for s in &self.shards {
@@ -600,15 +693,11 @@ impl SharedCache {
             shard.retain(|h, _| live.contains(h));
             evicted += before - shard.len();
         }
-        for hs in &self.hashes {
-            hs.write()
-                .expect("shared cache shard poisoned")
-                .retain(|_, &mut (g, _)| g == gen);
-        }
         evicted
     }
 
-    /// Files read-and-hashed so far (hash-memo misses, cumulative).
+    /// Files read-and-hashed so far (hash-memo misses on present files,
+    /// cumulative).
     pub fn rehashes(&self) -> u64 {
         self.rehashes.load(Ordering::Relaxed)
     }

@@ -975,8 +975,93 @@ fn hash_memo_rereads_only_across_generations() {
     let (h3, _) = cache.current_hash("a.h", edited).expect("exists");
     assert_ne!(h3, h1, "edited contents must change the key");
     assert_eq!(cache.rehashes(), 2);
-    // Missing files are not memoized as anything.
-    assert!(cache.current_hash("gone.h", || None).is_none());
+    // Missing files are memoized as absent: one read per generation,
+    // and no rehash is counted for them.
+    let absent_reads = std::cell::Cell::new(0u32);
+    let absent = || {
+        absent_reads.set(absent_reads.get() + 1);
+        None
+    };
+    assert!(cache.current_hash("gone.h", absent).is_none());
+    assert!(cache.current_hash("gone.h", absent).is_none());
+    assert_eq!((absent_reads.get(), cache.rehashes()), (1, 2));
+}
+
+#[test]
+fn targeted_generation_rereads_only_the_changed_paths() {
+    let cache = SharedCache::new();
+    let reads = std::cell::Cell::new(0u32);
+    let read = |text: &'static str| {
+        let reads = &reads;
+        move || {
+            reads.set(reads.get() + 1);
+            Some(std::sync::Arc::<str>::from(text))
+        }
+    };
+    let (a1, _) = cache.current_hash("a.h", read("int a;\n")).expect("a.h");
+    cache.current_hash("b.h", read("int b;\n")).expect("b.h");
+    assert!(cache.current_hash("new.h", || None).is_none());
+    assert_eq!(reads.get(), 2);
+
+    // b.h was edited and new.h created: only their rows are dropped.
+    cache.next_generation_with(Some(&["b.h".to_string(), "new.h".to_string()]));
+    let (a2, src) = cache.current_hash("a.h", read("unused")).expect("a.h");
+    assert_eq!(
+        (a2, src.is_none(), reads.get()),
+        (a1, true, 2),
+        "a.h restamped"
+    );
+    cache.current_hash("b.h", read("int b2;\n")).expect("b.h");
+    cache
+        .current_hash("new.h", read("int n;\n"))
+        .expect("new.h now exists");
+    assert_eq!((reads.get(), cache.rehashes()), (4, 4));
+
+    // No change set: every row expires.
+    cache.next_generation_with(None);
+    cache.current_hash("a.h", read("int a;\n")).expect("a.h");
+    assert_eq!(reads.get(), 5, "full invalidation rereads a.h");
+}
+
+#[test]
+fn concurrent_misses_on_one_path_read_it_once() {
+    // The first reader holds its read open until the second worker has
+    // joined the in-flight row (the row, the reader and the waiter each
+    // hold its cell); single flight makes the waiter take the reader's
+    // answer instead of reading (and counting) again.
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    let cache = Arc::new(SharedCache::new());
+    let reads = Arc::new(AtomicU32::new(0));
+    let first = {
+        let (cache, reads) = (cache.clone(), reads.clone());
+        std::thread::spawn(move || {
+            cache.current_hash("hot.h", || {
+                reads.fetch_add(1, Ordering::SeqCst);
+                while cache.hash_cell_holders("hot.h") < 3 {
+                    std::thread::yield_now();
+                }
+                Some(Arc::<str>::from("int hot;\n"))
+            })
+        })
+    };
+    while reads.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
+    let second = cache.current_hash("hot.h", || {
+        reads.fetch_add(1, Ordering::SeqCst);
+        Some(Arc::<str>::from("int hot;\n"))
+    });
+    let (h1, src1) = first.join().expect("first reader").expect("exists");
+    let (h2, src2) = second.expect("exists");
+    assert_eq!(reads.load(Ordering::SeqCst), 1, "one read for two misses");
+    assert_eq!(cache.rehashes(), 1);
+    assert_eq!(h1, h2);
+    assert!(
+        src1.is_some() && src2.is_none(),
+        "only the reader gets bytes"
+    );
+    assert_eq!(cache.hash_cell_holders("hot.h"), 1, "waiters let go");
 }
 
 #[test]

@@ -271,9 +271,11 @@ echo "verify: daemon byte-identity OK"
 # crates/capi/include/superc.h, link the superc_capi cdylib, stage a
 # two-file tree through the FFI (set_file + end_generation), and
 # byte-compare its lint JSON with `superc lint --format json` over the
-# same files on disk. Gates that the header matches the exported
+# same files on disk. A second generation then re-stages include/a.h
+# with new contents and lints again; that response must match the CLI
+# over the edited files. Gates that the header matches the exported
 # symbols, that the cdylib actually links, and that the embedding path
-# honors the same output contract as the CLI.
+# honors the same output contract as the CLI across an edit.
 CAPI_DIR=$(mktemp -d)
 trap 'rm -rf "$KGEN_DIR" "$CAPI_DIR"' EXIT
 mkdir -p "$CAPI_DIR/include"
@@ -285,6 +287,17 @@ cat >"$CAPI_DIR/include/a.h" <<'EOF'
 #endif
 int helper(int);
 EOF
+cat >"$CAPI_DIR/a.h.next" <<'EOF'
+#ifdef CONFIG_FAST
+#define SPEED 9
+#else
+#define SPEED 2
+#endif
+#ifdef CONFIG_FAST
+#define SPEED 3
+#endif
+int helper(int);
+EOF
 cat >"$CAPI_DIR/a.c" <<'EOF'
 #include <a.h>
 int use(void) { return helper(SPEED); }
@@ -293,6 +306,7 @@ EOF
 cat >"$CAPI_DIR/client.c" <<'EOF'
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 #include "superc.h"
 
 /* Reads a file whole; the fixture is small. */
@@ -312,21 +326,22 @@ static char *slurp(const char *path) {
     return buf;
 }
 
-/* Usage: client <unit.c> <staged-path>... — stages every argument from
- * disk, lints the first one as JSON, and prints the exact CLI bytes. */
-int main(int argc, char **argv) {
-    superc_driver *d = superc_driver_new(2);
-    if (!d) return 2;
-    for (int i = 1; i < argc; i++) {
-        char *contents = slurp(argv[i]);
-        if (!contents || superc_driver_set_file(d, argv[i], contents) != 0) {
-            fprintf(stderr, "stage %s: %s\n", argv[i], superc_last_error(d));
-            return 2;
-        }
+/* Stages `path` with the contents of the file `from`; 0 on success. */
+static int stage(superc_driver *d, const char *path, const char *from) {
+    char *contents = slurp(from);
+    if (!contents || superc_driver_set_file(d, path, contents) != 0) {
+        fprintf(stderr, "stage %s: %s\n", path, superc_last_error(d));
         free(contents);
+        return -1;
     }
-    if (superc_driver_end_generation(d) < 0) return 2;
-    const char *units[] = {argv[1]};
+    free(contents);
+    return 0;
+}
+
+/* Lints `unit` as JSON and prints the exact CLI bytes: 0 clean,
+ * 1 failed, 2 error. */
+static int lint(superc_driver *d, const char *unit) {
+    const char *units[] = {unit};
     char *err = NULL;
     int failed = 0;
     char *out = superc_lint(d, units, 1, "json", &err, &failed);
@@ -338,25 +353,63 @@ int main(int argc, char **argv) {
     fputs(out, stdout);
     superc_string_free(out);
     superc_string_free(err);
-    superc_driver_free(d);
     return failed ? 1 : 0;
+}
+
+/* Usage: client <unit.c> <staged-path>... [+ <path> <contents-file>]
+ * — stages every path from disk and lints the first one. With "+", a
+ * second generation re-stages <path> from <contents-file> and lints
+ * again, printing after the first response. */
+int main(int argc, char **argv) {
+    superc_driver *d = superc_driver_new(2);
+    if (!d) return 2;
+    int staged = 1;
+    while (staged < argc && strcmp(argv[staged], "+") != 0) staged++;
+    for (int i = 1; i < staged; i++) {
+        if (stage(d, argv[i], argv[i]) != 0) return 2;
+    }
+    if (superc_driver_end_generation(d) < 0) return 2;
+    int status = lint(d, argv[1]);
+    if (status != 2 && staged + 2 < argc) {
+        if (superc_driver_begin_generation(d) < 0 ||
+            stage(d, argv[staged + 1], argv[staged + 2]) != 0 ||
+            superc_driver_end_generation(d) < 0) {
+            return 2;
+        }
+        int again = lint(d, argv[1]);
+        status = again == 2 ? 2 : (status | again);
+    }
+    superc_driver_free(d);
+    return status;
 }
 EOF
 cc -O1 -o "$CAPI_DIR/client" "$CAPI_DIR/client.c" \
     -I crates/capi/include -L target/release -lsuperc_capi \
     -Wl,-rpath,"$PWD/target/release"
 c_failed=0
-(cd "$CAPI_DIR" && ./client a.c include/a.h) \
+(cd "$CAPI_DIR" && ./client a.c include/a.h + include/a.h a.h.next) \
     >"$CAPI_DIR/.got.out" 2>"$CAPI_DIR/.got.err" || c_failed=$?
 if [[ "$c_failed" == 2 ]]; then
     echo "verify: C client errored:" >&2
     cat "$CAPI_DIR/.got.err" >&2
     exit 1
 fi
+# The CLI reference: one run per generation, the second over the
+# edited header, concatenated like the client's two responses.
 cli_failed=0
-(cd "$CAPI_DIR" && "$ROBUST_BIN" lint --format json a.c) \
-    >"$CAPI_DIR/.ref.out" 2>"$CAPI_DIR/.ref.err" || cli_failed=1
+for gen in 1 2; do
+    if [[ "$gen" == 2 ]]; then
+        cp "$CAPI_DIR/a.h.next" "$CAPI_DIR/include/a.h"
+    fi
+    (cd "$CAPI_DIR" && "$ROBUST_BIN" lint --format json a.c) \
+        >"$CAPI_DIR/.ref$gen.out" 2>"$CAPI_DIR/.ref$gen.err" || cli_failed=1
+done
+if cmp -s "$CAPI_DIR/.ref1.out" "$CAPI_DIR/.ref2.out"; then
+    echo "verify: the C smoke edit must change the lint output" >&2
+    exit 1
+fi
 for s in out err; do
+    cat "$CAPI_DIR/.ref1.$s" "$CAPI_DIR/.ref2.$s" >"$CAPI_DIR/.ref.$s"
     if ! cmp -s "$CAPI_DIR/.ref.$s" "$CAPI_DIR/.got.$s"; then
         echo "verify: C client lint std$s diverged from the CLI" >&2
         diff "$CAPI_DIR/.ref.$s" "$CAPI_DIR/.got.$s" >&2 || true

@@ -4,16 +4,48 @@
 //! prints with), across jobs {1, 2, 8}, warm replays, disk edits, and
 //! the cross-profile grid. `scripts/verify.sh` repeats the same checks
 //! end-to-end against the real binary over stdin/stdout.
+//!
+//! Disk-rooted drivers revalidate every path per request (their
+//! resolver cannot say what changed); a resolver-less driver stages
+//! every file itself and revalidates only the staged paths. Both are
+//! covered here.
 
 use std::fs;
 use std::path::PathBuf;
 
+use superc::analyze::render::json_str;
 use superc::analyze::LintOptions;
 use superc::cli::{self, LintFormat};
 use superc::corpus::{process_corpus, process_corpus_profiles, CorpusOptions};
 use superc::service::{daemon, Driver};
-use superc::{DiskFs, Options, Profile};
+use superc::{DiskFs, Options, Profile, SharedMemFs};
 use superc_util::json::Json;
+
+/// The fixture tree: a leaf header only `a.c` includes and a two-level
+/// chain every unit includes.
+const FIXTURE: [(&str, &str); 6] = [
+    ("include/leaf.h", "int leaf_decl(int);\n#define LEAF 1\n"),
+    (
+        "include/deep.h",
+        "#include \"deeper.h\"\nint deep_decl(void);\n",
+    ),
+    (
+        "include/deeper.h",
+        "#ifdef CONFIG_SMP\n#define WIDTH 8\n#else\n#define WIDTH 1\n#endif\n",
+    ),
+    (
+        "a.c",
+        "#include <leaf.h>\n#include <deep.h>\nint a_fn(void) { return LEAF + WIDTH; }\n",
+    ),
+    (
+        "b.c",
+        "#include <deep.h>\nint b_fn(void) { return WIDTH; }\n",
+    ),
+    (
+        "c.c",
+        "#include <deep.h>\nint c_fn(void) { return WIDTH * 2; }\n",
+    ),
+];
 
 /// A scratch tree on disk (the daemon serves the working directory, so
 /// the fixture must be real files).
@@ -27,27 +59,9 @@ impl Tree {
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("include")).expect("mkdir fixture");
         let tree = Tree { root };
-        tree.write("include/leaf.h", "int leaf_decl(int);\n#define LEAF 1\n");
-        tree.write(
-            "include/deep.h",
-            "#include \"deeper.h\"\nint deep_decl(void);\n",
-        );
-        tree.write(
-            "include/deeper.h",
-            "#ifdef CONFIG_SMP\n#define WIDTH 8\n#else\n#define WIDTH 1\n#endif\n",
-        );
-        tree.write(
-            "a.c",
-            "#include <leaf.h>\n#include <deep.h>\nint a_fn(void) { return LEAF + WIDTH; }\n",
-        );
-        tree.write(
-            "b.c",
-            "#include <deep.h>\nint b_fn(void) { return WIDTH; }\n",
-        );
-        tree.write(
-            "c.c",
-            "#include <deep.h>\nint c_fn(void) { return WIDTH * 2; }\n",
-        );
+        for (path, contents) in FIXTURE {
+            tree.write(path, contents);
+        }
         tree
     }
 
@@ -229,6 +243,111 @@ fn daemon_responses_match_fresh_one_shot_runs_across_jobs() {
             response.contains("\"shutdown\":true"),
             "{label}: {response}"
         );
+    }
+}
+
+/// The number a `stats` response reports under `key`.
+fn stat(stats: &Json, key: &str) -> Option<f64> {
+    stats.get(key).and_then(Json::as_f64)
+}
+
+#[test]
+fn resolverless_driver_revalidates_only_the_staged_paths() {
+    let units = units();
+    let lint = "{\"cmd\":\"lint\",\"units\":[\"a.c\",\"b.c\",\"c.c\"],\"format\":\"json\"}";
+    let lint_copts = CorpusOptions {
+        lint: Some(LintOptions::default()),
+        ..CorpusOptions::default()
+    };
+    for jobs in [1usize, 2, 8] {
+        let mut driver = Driver::new(Options::default(), jobs);
+        // The same tree for fresh one-shot references, edited in step.
+        let mirror = SharedMemFs::new();
+        for (path, contents) in FIXTURE {
+            driver
+                .set_file(path, contents)
+                .expect("generation 1 is open");
+            mirror.set(path, contents);
+        }
+        driver.end_generation().expect("commit the staged tree");
+
+        // Lints all units; the response must be the fresh run's bytes,
+        // and the batch must have recomputed `misses` units and hashed
+        // `rehashed` files.
+        let check = |driver: &mut Driver, step: &str, misses: f64, rehashed: f64| {
+            let label = format!("jobs={jobs} {step}");
+            let response = request(driver, lint);
+            let fresh = process_corpus(&mirror, &units, &Options::default(), &lint_copts);
+            let want = cli::render_lint_report(&fresh, LintFormat::Json, false);
+            assert_rendered(&label, &response, &want);
+            let stats = request(driver, "{\"cmd\":\"stats\"}");
+            assert_eq!(
+                stat(&stats, "unit_memo_misses"),
+                Some(misses),
+                "{label}: misses"
+            );
+            assert_eq!(
+                stat(&stats, "unit_memo_hits"),
+                Some(3.0 - misses),
+                "{label}: hits"
+            );
+            assert_eq!(
+                stat(&stats, "files_rehashed"),
+                Some(rehashed),
+                "{label}: files rehashed"
+            );
+        };
+        let edit = |driver: &mut Driver, path: &str, contents: &str| {
+            mirror.set(path, contents);
+            request(
+                driver,
+                &format!(
+                    "{{\"cmd\":\"edit\",\"path\":{},\"contents\":{}}}",
+                    json_str(path),
+                    json_str(contents)
+                ),
+            );
+        };
+
+        check(&mut driver, "fill", 3.0, 6.0);
+        // A staged header edit: only a.c includes the leaf header, and
+        // only that header is read again.
+        edit(
+            &mut driver,
+            "include/leaf.h",
+            "int leaf_decl(int);\n#define LEAF 2\n",
+        );
+        check(&mut driver, "leaf edit", 1.0, 1.0);
+        // A new file at a.c's failed probe path shadows the leaf header.
+        edit(
+            &mut driver,
+            "leaf.h",
+            "int leaf_decl(int);\nint leaf_shadow;\n#define LEAF 7\n",
+        );
+        check(&mut driver, "shadowing file", 1.0, 1.0);
+        // Removing it sends a.c back to include/leaf.h, whose hash is
+        // still trusted: a missing path is not a rehash.
+        mirror.remove("leaf.h");
+        request(
+            &mut driver,
+            "{\"cmd\":\"edit\",\"path\":\"leaf.h\",\"remove\":true}",
+        );
+        check(&mut driver, "remove", 1.0, 0.0);
+        // A resolver can change what it serves unannounced: the next
+        // batch rehashes the full closure, with nothing recomputed.
+        driver.set_resolver(Box::new(|_| Ok(None)));
+        check(&mut driver, "resolver installed", 0.0, 6.0);
+        check(&mut driver, "resolver still installed", 0.0, 6.0);
+        // Clearing it revalidates in full once more, then staged edits
+        // are targeted again.
+        driver.fs().set_resolver(None);
+        check(&mut driver, "resolver cleared", 0.0, 6.0);
+        edit(
+            &mut driver,
+            "b.c",
+            "#include <deep.h>\nint b_fn(void) { return WIDTH + 1; }\n",
+        );
+        check(&mut driver, "unit edit", 1.0, 1.0);
     }
 }
 

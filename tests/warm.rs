@@ -13,20 +13,24 @@
 //!   `tests/parallel.rs`;
 //! * fast path (fused lexing + deterministic LR fast path) on and off;
 //! * one profile ([`CorpusRunner::run`]) and a three-profile grid
-//!   ([`CorpusRunner::run_profiles`]).
+//!   ([`CorpusRunner::run_profiles`]);
+//! * both revalidation paths: a [`SharedMemFs`], which reports its
+//!   changes so a batch revalidates only the edited paths, and an
+//!   opaque tree that cannot, so every batch revalidates every path.
 //!
-//! Every cell asserts two things: the warm report matches a fresh cold
-//! reference over the edited tree (per-unit deterministic fields and
-//! behavior counters), and the per-unit `memo_hit` flags match the edit
-//! — edited-closure units recompute, untouched units replay.
+//! Every cell asserts three things: the warm report matches a fresh
+//! cold reference over the edited tree (per-unit deterministic fields
+//! and behavior counters), the per-unit `memo_hit` flags match the edit
+//! — edited-closure units recompute, untouched units replay — and the
+//! batch hashed exactly the files its revalidation path must read.
 
 use std::sync::Arc;
 
 use superc::analyze::LintOptions;
 use superc::corpus::{
-    process_corpus, process_corpus_profiles, CorpusOptions, CorpusReport, CorpusRunner,
+    process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusReport, CorpusRunner,
 };
-use superc::{Options, Profile, SharedMemFs};
+use superc::{FileSystem, Options, Profile, SharedCache, SharedMemFs};
 
 /// Three units over a small header tree:
 ///
@@ -60,8 +64,55 @@ fn fixture() -> SharedMemFs {
     fs
 }
 
+/// Files in [`fixture`]: what a cold batch hashes.
+const FIXTURE_FILES: u64 = 6;
+
 fn units() -> Vec<String> {
     vec!["a.c".to_string(), "b.c".to_string(), "c.c".to_string()]
+}
+
+/// A tree that cannot enumerate its changes: it implements only
+/// `read`, so `take_changes` keeps its default `None` and every batch
+/// revalidates every path, as over a disk tree or a resolver.
+struct OpaqueFs(SharedMemFs);
+
+impl FileSystem for OpaqueFs {
+    fn read(&self, path: &str) -> Option<Arc<str>> {
+        self.0.read(path)
+    }
+}
+
+/// A fixture tree that can be edited between batches.
+trait Tree: FileSystem + Send + Sync + Sized + 'static {
+    /// Label for assertion messages.
+    const NAME: &'static str;
+    /// Does the tree report its changes (targeted revalidation)?
+    const REPORTS_CHANGES: bool;
+    /// A fresh copy of [`fixture`].
+    fn fixture() -> Arc<Self>;
+    fn edit(&self, path: &str, contents: &str);
+}
+
+impl Tree for SharedMemFs {
+    const NAME: &'static str = "reporting";
+    const REPORTS_CHANGES: bool = true;
+    fn fixture() -> Arc<Self> {
+        Arc::new(fixture())
+    }
+    fn edit(&self, path: &str, contents: &str) {
+        self.set(path, contents);
+    }
+}
+
+impl Tree for OpaqueFs {
+    const NAME: &'static str = "opaque";
+    const REPORTS_CHANGES: bool = false;
+    fn fixture() -> Arc<Self> {
+        Arc::new(OpaqueFs(fixture()))
+    }
+    fn edit(&self, path: &str, contents: &str) {
+        self.0.set(path, contents);
+    }
 }
 
 fn options(fastpath: bool) -> Options {
@@ -89,8 +140,23 @@ struct Edit {
     touch: Option<(&'static str, &'static str)>,
     /// Expected `memo_hit` per unit (a.c, b.c, c.c) on the re-run.
     hits: [bool; 3],
-    /// Files in the tree after the edit (the rehash ceiling per batch).
+    /// Files in the tree after the edit: what a full revalidation
+    /// hashes, since every file lies in some unit's closure or failed
+    /// probes.
     files: u64,
+}
+
+impl Edit {
+    /// Files the re-run must hash, each exactly once however many
+    /// workers and profiles probe it: the edited one when the tree
+    /// reports its changes, every file otherwise.
+    fn rehashes(&self, reports_changes: bool) -> u64 {
+        if reports_changes {
+            u64::from(self.touch.is_some())
+        } else {
+            self.files
+        }
+    }
 }
 
 fn edits() -> Vec<Edit> {
@@ -198,13 +264,22 @@ fn assert_reports_identical(base: &CorpusReport, other: &CorpusReport, label: &s
 
 #[test]
 fn warm_rerun_matches_cold_run_across_edit_jobs_fastpath_matrix() {
+    warm_matrix::<SharedMemFs>();
+    warm_matrix::<OpaqueFs>();
+}
+
+fn warm_matrix<T: Tree>() {
     let units = units();
     for edit in edits() {
         for jobs in [1usize, 2, 8] {
             for fastpath in [true, false] {
-                let label = format!("edit={} jobs={jobs} fastpath={fastpath}", edit.label);
+                let label = format!(
+                    "tree={} edit={} jobs={jobs} fastpath={fastpath}",
+                    T::NAME,
+                    edit.label
+                );
                 let opts = options(fastpath);
-                let fs = Arc::new(fixture());
+                let fs = T::fixture();
                 let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs, false);
 
                 // Batch 1 fills the memo: nothing can hit yet.
@@ -216,9 +291,13 @@ fn warm_rerun_matches_cold_run_across_edit_jobs_fastpath_matrix() {
                     "{label}: batch 1 misses"
                 );
                 assert!(first.parsed_units() == 3, "{label}: fixture must parse");
+                assert_eq!(
+                    first.files_rehashed, FIXTURE_FILES,
+                    "{label}: batch 1 hashes each file once"
+                );
 
                 if let Some((path, contents)) = edit.touch {
-                    fs.set(path, contents);
+                    fs.edit(path, contents);
                 }
 
                 // Batch 2 (warm, over the edited tree) vs a fresh cold
@@ -240,13 +319,10 @@ fn warm_rerun_matches_cold_run_across_edit_jobs_fastpath_matrix() {
                 for (u, expect_hit) in second.units.iter().zip(edit.hits) {
                     assert_eq!(u.memo_hit, expect_hit, "{label}: {}: memo_hit flag", u.path);
                 }
-                // Every file is content-hashed at most once per batch,
-                // however many workers and profiles probed it.
-                assert!(
-                    second.files_rehashed <= edit.files,
-                    "{label}: rehashed {} files of {}",
+                assert_eq!(
                     second.files_rehashed,
-                    edit.files
+                    edit.rehashes(T::REPORTS_CHANGES),
+                    "{label}: files rehashed"
                 );
             }
         }
@@ -255,6 +331,11 @@ fn warm_rerun_matches_cold_run_across_edit_jobs_fastpath_matrix() {
 
 #[test]
 fn warm_profiles_rerun_matches_cold_grid() {
+    warm_profiles_matrix::<SharedMemFs>();
+    warm_profiles_matrix::<OpaqueFs>();
+}
+
+fn warm_profiles_matrix<T: Tree>() {
     let units = units();
     let profiles: Vec<Profile> = ["gcc-linux", "clang-linux", "msvc-windows"]
         .iter()
@@ -264,11 +345,12 @@ fn warm_profiles_rerun_matches_cold_grid() {
         for jobs in [1usize, 2, 8] {
             for fastpath in [true, false] {
                 let label = format!(
-                    "profiles=3 edit={} jobs={jobs} fastpath={fastpath}",
+                    "tree={} profiles=3 edit={} jobs={jobs} fastpath={fastpath}",
+                    T::NAME,
                     edit.label
                 );
                 let opts = options(fastpath);
-                let fs = Arc::new(fixture());
+                let fs = T::fixture();
                 let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs, false);
 
                 let first = pool.run_profiles(&units, &profiles, &copts(true));
@@ -280,7 +362,7 @@ fn warm_profiles_rerun_matches_cold_grid() {
                 );
 
                 if let Some((path, contents)) = edit.touch {
-                    fs.set(path, contents);
+                    fs.edit(path, contents);
                 }
 
                 let second = pool.run_profiles(&units, &profiles, &copts(true));
@@ -318,18 +400,71 @@ fn warm_profiles_rerun_matches_cold_grid() {
                     second.runs[0].unit_memo_hits, expected_hits,
                     "{label}: grid memo hit count"
                 );
-                // Fingerprints are profile-independent *per file*: one
-                // rehash per touched file per batch, shared by all
-                // three profile runs.
-                assert!(
-                    second.runs[0].files_rehashed <= edit.files,
-                    "{label}: rehashed {} files of {}",
+                // Fingerprints are profile-independent *per file*: the
+                // three profile runs share one hash per touched file.
+                assert_eq!(
                     second.runs[0].files_rehashed,
-                    edit.files
+                    edit.rehashes(T::REPORTS_CHANGES),
+                    "{label}: files rehashed"
                 );
             }
         }
     }
+}
+
+#[test]
+fn near_identical_header_edit_is_not_a_stale_replay() {
+    // Two versions of a header that differ in two digits. FxHash64 maps
+    // both to 0x826d0cef9ebefc2b: keyed by a hash that weak, this edit
+    // replays the stale artifact and the stale memoized unit.
+    const A: &str = "#ifndef SUB62_H\n#define SUB62_H\nxxxextern int sub62_x;\n#ifdef CONFIG_SMP\nextern int sub62_rev1719;\n#endif\n#endif\n";
+    let b = A.replace("rev1719", "rev1792");
+    assert_ne!(
+        SharedCache::content_hash(A.as_bytes()),
+        SharedCache::content_hash(b.as_bytes())
+    );
+    collision_edit::<SharedMemFs>(A, &b);
+    collision_edit::<OpaqueFs>(A, &b);
+}
+
+fn collision_edit<T: Tree>(before: &str, after: &str) {
+    let units = vec!["u.c".to_string()];
+    let opts = options(true);
+    let copts = CorpusOptions {
+        capture: Capture {
+            preprocessed: true,
+            ..Capture::default()
+        },
+        warm: true,
+        ..CorpusOptions::default()
+    };
+    let fs = T::fixture();
+    fs.edit("include/sub62.h", before);
+    fs.edit("u.c", "#include <sub62.h>\nint u_fn(void) { return 0; }\n");
+    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 1, false);
+    pool.run(&units, &copts);
+    fs.edit("include/sub62.h", after);
+    let warm = pool.run(&units, &copts);
+    let cold = process_corpus(&*fs, &units, &opts, &copts);
+    assert!(
+        !warm.units[0].memo_hit,
+        "tree={}: u.c must recompute",
+        T::NAME
+    );
+    assert_eq!(
+        warm.units[0].preprocessed,
+        cold.units[0].preprocessed,
+        "tree={}: preprocessed text",
+        T::NAME
+    );
+    assert!(
+        cold.units[0]
+            .preprocessed
+            .as_deref()
+            .is_some_and(|text| text.contains("sub62_rev1792")),
+        "tree={}: the cold run sees the edit",
+        T::NAME
+    );
 }
 
 #[test]
