@@ -1,6 +1,6 @@
 //! C bindings for the SuperC reproduction's embeddable parse driver.
 //!
-//! The API (declared in `include/superc.h`) wraps `superc_facade::Driver`
+//! The API (declared in `include/superc.h`) wraps `superc::service::Driver`
 //! behind an opaque handle: create a driver, populate its virtual file
 //! tree (or plug in a resolver callback), alternate edit generations
 //! with parse/lint requests, and read results as the exact bytes the
@@ -26,7 +26,10 @@
 use std::ffi::{c_char, c_int, c_uint, c_void, CStr, CString};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use superc_facade::{Driver, LintFormat, LintOptions, Options, Rendered};
+use superc::analyze::LintOptions;
+use superc::cli::{LintFormat, Rendered};
+use superc::service::Driver;
+use superc::Options;
 
 /// The opaque driver handle behind `superc_driver*`.
 pub struct superc_driver {
@@ -465,7 +468,7 @@ mod boundary_tests {
             assert_eq!(failed, 0);
             superc_string_free(out);
 
-            // The facade, given the same tree, renders the same bytes.
+            // The Rust driver, given the same tree, renders the same bytes.
             let mut driver = Driver::new(Options::default(), 2);
             driver
                 .set_file("a.c", "#ifdef CONFIG_A\nint a;\n#endif\nint b = FOO;\n")

@@ -88,10 +88,7 @@ use std::process::ExitCode;
 
 use superc::analyze::{LintCode, LintLevel, LintOptions};
 use superc::cli::{self, LintFormat, Rendered};
-use superc::corpus::{
-    process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusReport, CorpusRunner,
-    ProfilesReport,
-};
+use superc::corpus::{Capture, CorpusOptions, CorpusRunner};
 use superc::service::Driver;
 use superc::{CondBackend, DiskFs, Options, ParserConfig, PpOptions, Profile, SuperC};
 
@@ -344,8 +341,16 @@ fn named_profile(name: &str) -> Result<Profile, String> {
 }
 
 /// Writes rendered output the way every corpus-driver path exits: all
-/// stderr bytes, then all stdout bytes, then the exit code.
-fn emit(r: &Rendered) -> ExitCode {
+/// stderr bytes, then all stdout bytes, then the exit code. A run that
+/// failed before rendering (a `--edit` copy) prints only its error.
+fn emit(r: Result<Rendered, String>) -> ExitCode {
+    let r = match r {
+        Ok(r) => r,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     eprint!("{}", r.stderr);
     print!("{}", r.stdout);
     if r.failed {
@@ -461,40 +466,26 @@ fn apply_edits(args: &Args, run: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// `--warm N` driver: one pooled [`CorpusRunner`], N warm batches with
-/// the scheduled `--edit`s applied at each batch boundary, returning
-/// only the final batch's report — the one the caller prints, and the
-/// one bench/verify scripts compare byte-for-byte against a cold run
-/// over the final tree.
-fn run_warm_corpus(args: &Args, copts: &CorpusOptions) -> Result<CorpusReport, String> {
-    let mut copts = copts.clone();
-    copts.warm = true;
-    let fs = std::sync::Arc::new(DiskFs::new("."));
-    let mut pool = CorpusRunner::new(&args.options, fs, args.jobs, args.no_shared_cache);
-    apply_edits(args, 1)?;
-    let mut report = pool.run(&args.files, &copts);
-    for run in 2..=args.warm {
-        apply_edits(args, run)?;
-        report = pool.run(&args.files, &copts);
-    }
-    Ok(report)
-}
-
-/// The cross-profile analogue of [`run_warm_corpus`].
-fn run_warm_profiles(
+/// Runs the corpus over one pooled [`CorpusRunner`] rooted at the
+/// working directory, `batch` running one batch: once, or with
+/// `--warm N` N times with the unit result memo on and the scheduled
+/// `--edit`s applied at each batch boundary. Returns only the final
+/// batch's report — the one the caller prints, and the one bench/verify
+/// scripts compare byte-for-byte against a cold run over the final
+/// tree.
+fn run_corpus<R>(
     args: &Args,
-    profiles: &[Profile],
-    copts: &CorpusOptions,
-) -> Result<ProfilesReport, String> {
-    let mut copts = copts.clone();
-    copts.warm = true;
+    mut copts: CorpusOptions,
+    batch: impl Fn(&mut CorpusRunner<DiskFs>, &CorpusOptions) -> R,
+) -> Result<R, String> {
+    copts.warm = args.warm > 0;
     let fs = std::sync::Arc::new(DiskFs::new("."));
     let mut pool = CorpusRunner::new(&args.options, fs, args.jobs, args.no_shared_cache);
     apply_edits(args, 1)?;
-    let mut report = pool.run_profiles(&args.files, profiles, &copts);
+    let mut report = batch(&mut pool, &copts);
     for run in 2..=args.warm {
         apply_edits(args, run)?;
-        report = pool.run_profiles(&args.files, profiles, &copts);
+        report = batch(&mut pool, &copts);
     }
     Ok(report)
 }
@@ -504,58 +495,27 @@ fn run_warm_profiles(
 /// each named profile and the per-profile results are diffed into the
 /// `portability-*` lints.
 fn run_lint(args: &Args, lint: &LintArgs) -> ExitCode {
-    let fs = DiskFs::new(".");
     let copts = CorpusOptions {
         jobs: args.jobs,
-        capture: Capture::default(),
         lint: Some(lint.opts.clone()),
         no_shared_cache: args.no_shared_cache,
-        inject_panic: Vec::new(),
-        portability: false,
-        warm: false,
+        ..CorpusOptions::default()
     };
-    if !lint.profiles.is_empty() {
-        let report = if args.warm > 0 {
-            match run_warm_profiles(args, &lint.profiles, &copts) {
-                Ok(r) => r,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            process_corpus_profiles(&fs, &args.files, &args.options, &lint.profiles, &copts)
-        };
-        return emit(&cli::render_lint_profiles(
-            &report,
-            lint.format,
-            &lint.opts,
-            args.show_stats,
-        ));
-    }
-    let report = if args.warm > 0 {
-        match run_warm_corpus(args, &copts) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        }
+    emit(if lint.profiles.is_empty() {
+        run_corpus(args, copts, |pool, copts| pool.run(&args.files, copts))
+            .map(|report| cli::render_lint_report(&report, lint.format, args.show_stats))
     } else {
-        process_corpus(&fs, &args.files, &args.options, &copts)
-    };
-    emit(&cli::render_lint_report(
-        &report,
-        lint.format,
-        args.show_stats,
-    ))
+        run_corpus(args, copts, |pool, copts| {
+            pool.run_profiles(&args.files, &lint.profiles, copts)
+        })
+        .map(|report| cli::render_lint_profiles(&report, lint.format, &lint.opts, args.show_stats))
+    })
 }
 
 /// Multi-file parallel path: fan out over the corpus driver, then print
 /// per-unit results in input order (so output is stable for any job
 /// count).
 fn run_parallel(args: &Args) -> ExitCode {
-    let fs = DiskFs::new(".");
     let copts = CorpusOptions {
         jobs: args.jobs,
         capture: Capture {
@@ -563,28 +523,13 @@ fn run_parallel(args: &Args) -> ExitCode {
             ast: args.show_ast,
             unparse_configs: Vec::new(),
         },
-        lint: None,
         no_shared_cache: args.no_shared_cache,
-        inject_panic: Vec::new(),
-        portability: false,
-        warm: false,
+        ..CorpusOptions::default()
     };
-    let report = if args.warm > 0 {
-        match run_warm_corpus(args, &copts) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        process_corpus(&fs, &args.files, &args.options, &copts)
-    };
-    emit(&cli::render_corpus_report(
-        &report,
-        args.show_ast,
-        args.show_stats,
-    ))
+    emit(
+        run_corpus(args, copts, |pool, copts| pool.run(&args.files, copts))
+            .map(|report| cli::render_corpus_report(&report, args.show_ast, args.show_stats)),
+    )
 }
 
 /// `superc daemon`: NDJSON requests on stdin, one response line each on

@@ -3,13 +3,25 @@
 //!
 //! # Threading model
 //!
-//! The corpus is scheduled as a **chunked queue**: one shared
-//! [`AtomicUsize`] cursor over the unit list, each worker claiming the
+//! Every run is a **units × profiles grid**: task `t = p * n_units + u`
+//! parses unit `u` under profile `p`, and a single-profile run is the
+//! one-row grid under the options' own profile (`PpOptions::profile`).
+//! The grid is scheduled as a **chunked queue**: one shared
+//! [`AtomicUsize`] cursor over the task list, each worker claiming the
 //! next run of unclaimed indices (see `chunk_size`) until the list is
-//! exhausted. Chunking amortizes the cursor traffic over several units;
-//! the chunks are small relative to the corpus, so slow units still
-//! never stall the queue behind a fixed pre-partition, and no unit is
-//! processed twice.
+//! exhausted. Chunking amortizes the cursor traffic over several tasks;
+//! the chunks are small relative to the grid, so slow units still never
+//! stall the queue behind a fixed pre-partition, no task is processed
+//! twice, and profile rows interleave instead of running one after
+//! another.
+//!
+//! There is **one scheduler with two hosts**. Every entry point builds
+//! one batch and runs the same worker claim loop (memo lookup, panic
+//! firewall, memo store) and the same reassembly into per-profile
+//! reports; the hosts differ only in where the worker threads come
+//! from. [`process_corpus`] and [`process_corpus_profiles`] run
+//! transient scoped threads over a borrowed tree; a [`CorpusRunner`]
+//! feeds the same batches to a persistent pool.
 //!
 //! What is *shared* read-only across workers — the immutable artifact
 //! layer, built once per process:
@@ -41,12 +53,15 @@
 //! shared cache's sharded `RwLock`s (off the hot path: one probe per
 //! `#include`), and their return values.
 //!
-//! [`process_corpus`] spins workers up and down per call — simple, and
-//! fine for one-shot runs. A [`CorpusRunner`] instead keeps a **pool**
-//! of workers alive across batches: each worker's tool (L1 header
-//! cache, BDD manager, interner, parser engine) stays warm from batch
-//! to batch, so repeated runs over the same tree — benchmark reps, a
-//! watch loop, a test matrix — skip the per-batch spin-up entirely.
+//! A worker holds that mutable layer as one **tool per distinct
+//! [`Profile`]** it has run, built on first use and keyed by the whole
+//! profile (name, built-ins, policies): two profiles that share a name
+//! but differ in built-ins get separate tools. A scoped worker drops
+//! its tools when the call returns. A pooled worker keeps them across
+//! batches: its L1 header cache, BDD manager, interner and parser engine
+//! stay warm, so repeated runs over the same tree — benchmark reps, a
+//! watch loop, a test matrix — skip the spin-up, and a single-profile
+//! batch and a grid row under the same profile share one tool.
 //!
 //! # Incremental warm re-runs
 //!
@@ -96,7 +111,7 @@
 //! rendered conditions. `tests/parallel.rs` proves this for
 //! `--jobs 1/2/8`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Once};
@@ -389,54 +404,10 @@ pub fn process_corpus<F: FileSystem + Sync>(
     options: &Options,
     copts: &CorpusOptions,
 ) -> CorpusReport {
-    let requested = if copts.jobs == 0 {
-        default_jobs()
-    } else {
-        copts.jobs
-    };
-    let workers = requested.min(units.len()).max(1);
-
-    // One shared artifact cache for the whole corpus run; every worker
-    // gets a clone of the same `Arc`. The cache is content-hash keyed
-    // (see `superc_cpp::sharedcache` for the invalidation protocol),
-    // but a one-shot run never leaves its first generation: files only
-    // change at batch boundaries, and this driver has exactly one batch.
-    let shared: Option<Arc<SharedCache>> =
-        (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
-
-    let start = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let chunk = chunk_size(units.len(), workers);
-    let outputs: Vec<WorkerOutput> = if workers == 1 {
-        vec![worker_loop(
-            fs,
-            units,
-            options,
-            copts,
-            shared.clone(),
-            &cursor,
-            chunk,
-        )]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let shared = shared.clone();
-                    s.spawn(|| worker_loop(fs, units, options, copts, shared, &cursor, chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("corpus worker panicked"))
-                .collect()
-        })
-    };
-    let wall = start.elapsed();
-    let mut report = assemble(units.len(), outputs, workers, wall);
-    if let Some(s) = &shared {
-        report.files_rehashed = s.rehashes();
-    }
-    report
+    let row = vec![options.pp.profile.clone()];
+    run_scoped(fs, units, options, row, copts.clone())
+        .runs
+        .swap_remove(0)
 }
 
 /// Cursor claim granularity: a worker claims this many consecutive
@@ -546,121 +517,117 @@ fn options_sig(options: &Options, copts: &CorpusOptions) -> u64 {
     superc_util::FxBuildHasher::default().hash_one(desc.as_bytes())
 }
 
-/// The shared claim-and-process loop behind both drivers: pull chunks
-/// off `cursor` until the list is exhausted, firewalling each unit.
-///
-/// With `memo` set (a pooled warm re-run), each unit first consults
-/// the result memo — a hit replays the cached report and skips the
-/// pipeline entirely — and each recomputed unit is stored back with
-/// the include-closure fingerprint the preprocessor just observed.
-///
-/// On a caught panic the tool may hold arbitrary mid-unit state, so it
-/// is rebuilt via `make_tool` — only the **mutable layer** (BDD
-/// manager, interner, macro table, L1 cache, engine state); the shared
-/// artifacts and the L2 cache survive untouched.
-#[allow(clippy::too_many_arguments)]
-fn claim_loop<F: FileSystem>(
-    tool: &mut SuperC<F>,
-    make_tool: &dyn Fn() -> SuperC<F>,
-    units: &[String],
-    copts: &CorpusOptions,
-    memo: Option<&MemoCtx>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-    out: &mut Vec<(usize, UnitReport)>,
-    memo_hits: &mut u64,
-    memo_misses: &mut u64,
-) {
-    loop {
-        let base = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if base >= units.len() {
-            break;
-        }
-        let end = (base + chunk).min(units.len());
-        for (i, path) in units[base..end].iter().enumerate() {
-            let i = base + i;
-            if let Some(memo) = memo {
-                if let Some(hit) = memo.lookup(path, 0, &|p| tool.preprocessor().dep_hash(p)) {
-                    *memo_hits += 1;
-                    out.push((i, hit));
-                    continue;
-                }
-                *memo_misses += 1;
-            }
-            // Panic firewall: a poisoned unit becomes a structured
-            // failure row instead of unwinding through the thread join.
-            let report = match firewalled(|| process_one(tool, path, copts)) {
-                Ok(report) => report,
-                Err(message) => {
-                    *tool = make_tool();
-                    UnitReport::failed(path, "panic", &format!("panic: {message}"))
-                }
-            };
-            if let Some(memo) = memo {
-                memo.store(
-                    path,
-                    0,
-                    tool.preprocessor().unit_deps(),
-                    tool.preprocessor().unit_neg_deps(),
-                    &report,
-                );
-            }
-            out.push((i, report));
-        }
-    }
-}
-
-/// Reassembles worker outputs in input order and merges the counters:
-/// every index was claimed exactly once, and every merged counter is a
-/// sum or max, so the result is schedule-independent.
-fn assemble(
-    n_units: usize,
-    outputs: Vec<WorkerOutput>,
+/// One run over the `units × profiles` task grid, shared by every worker
+/// of the run: task `t = p * units.len() + u` parses unit `u` under
+/// `profiles[p]`, and workers claim `chunk` consecutive tasks per
+/// `cursor` increment. With `memo` set (a pooled warm re-run), workers
+/// consult and fill the pool's unit result memo.
+struct Batch {
+    units: Vec<String>,
+    profiles: Vec<Profile>,
+    copts: CorpusOptions,
+    /// Workers running this batch: the requested count, capped at the
+    /// task count.
     workers: usize,
-    wall: Duration,
-) -> CorpusReport {
-    let mut slots: Vec<Option<UnitReport>> = (0..n_units).map(|_| None).collect();
-    let mut cond = CondStats::default();
-    let mut bdd: Option<BddStats> = None;
-    let mut pp = PpStats::default();
-    let mut parse = ParseStats::default();
-    let mut unit_memo_hits = 0u64;
-    let mut unit_memo_misses = 0u64;
-    for out in outputs {
-        for (i, report) in out.units {
-            debug_assert!(slots[i].is_none(), "unit {i} claimed twice");
-            slots[i] = Some(report);
+    cursor: AtomicUsize,
+    chunk: usize,
+    memo: Option<MemoCtx>,
+}
+
+impl Batch {
+    fn new(
+        units: &[String],
+        profiles: Vec<Profile>,
+        copts: CorpusOptions,
+        jobs: usize,
+        memo: Option<MemoCtx>,
+    ) -> Batch {
+        let n_tasks = units.len() * profiles.len();
+        let workers = jobs.min(n_tasks).max(1);
+        Batch {
+            units: units.to_vec(),
+            profiles,
+            copts,
+            workers,
+            cursor: AtomicUsize::new(0),
+            chunk: chunk_size(n_tasks, workers),
+            memo,
         }
-        cond.merge(&out.cond);
-        if let Some(b) = out.bdd {
-            bdd.get_or_insert_with(BddStats::default).merge(&b);
-        }
-        unit_memo_hits += out.memo_hits;
-        unit_memo_misses += out.memo_misses;
-    }
-    let units: Vec<UnitReport> = slots
-        .into_iter()
-        .map(|s| s.expect("every unit claimed"))
-        .collect();
-    for u in &units {
-        pp.merge(&u.pp);
-        parse.merge(&u.parse);
     }
 
-    CorpusReport {
-        units,
-        pp,
-        parse,
-        cond,
-        bdd,
-        workers,
-        wall,
-        unit_memo_hits,
-        unit_memo_misses,
-        files_rehashed: 0,
+    /// Reassembles task-indexed worker outputs into one [`CorpusReport`]
+    /// per profile, each in unit input order. Every task was claimed
+    /// exactly once and every merged counter is a sum or max, so the
+    /// result is schedule-independent. The per-profile
+    /// preprocessor/parser counters are exact sums over that profile's
+    /// units; the grid-wide gauges — context stats (a worker's tools
+    /// serve every row), memo counters and `files_rehashed` — land on
+    /// profile 0's run (they are outside the determinism contract either
+    /// way).
+    fn assemble(
+        &self,
+        outputs: Vec<WorkerOutput>,
+        wall: Duration,
+        files_rehashed: u64,
+    ) -> ProfilesReport {
+        let n_units = self.units.len();
+        let mut slots: Vec<Option<UnitReport>> =
+            (0..n_units * self.profiles.len()).map(|_| None).collect();
+        let mut cond = CondStats::default();
+        let mut bdd: Option<BddStats> = None;
+        let (mut memo_hits, mut memo_misses) = (0, 0);
+        for out in outputs {
+            for (t, report) in out.units {
+                debug_assert!(slots[t].is_none(), "task {t} claimed twice");
+                slots[t] = Some(report);
+            }
+            cond.merge(&out.cond);
+            if let Some(b) = out.bdd {
+                bdd.get_or_insert_with(BddStats::default).merge(&b);
+            }
+            memo_hits += out.memo_hits;
+            memo_misses += out.memo_misses;
+        }
+        let mut slots = slots.into_iter();
+        let runs = (0..self.profiles.len())
+            .map(|p| {
+                let units: Vec<UnitReport> = (&mut slots)
+                    .take(n_units)
+                    .map(|s| s.expect("every task claimed"))
+                    .collect();
+                let mut pp = PpStats::default();
+                let mut parse = ParseStats::default();
+                for u in &units {
+                    pp.merge(&u.pp);
+                    parse.merge(&u.parse);
+                }
+                let row0 = p == 0;
+                CorpusReport {
+                    units,
+                    pp,
+                    parse,
+                    cond: if row0 { cond } else { CondStats::default() },
+                    bdd: if row0 { bdd } else { None },
+                    workers: self.workers,
+                    wall,
+                    unit_memo_hits: if row0 { memo_hits } else { 0 },
+                    unit_memo_misses: if row0 { memo_misses } else { 0 },
+                    files_rehashed: if row0 { files_rehashed } else { 0 },
+                }
+            })
+            .collect();
+        ProfilesReport {
+            profiles: self.profiles.iter().map(|p| p.name.clone()).collect(),
+            runs,
+            workers: self.workers,
+            wall,
+        }
     }
 }
 
+/// What one worker hands back from one batch: its task-indexed reports,
+/// the condition-context gauges of all its tools, and its memo counters.
+#[derive(Default)]
 struct WorkerOutput {
     units: Vec<(usize, UnitReport)>,
     cond: CondStats,
@@ -669,51 +636,153 @@ struct WorkerOutput {
     memo_misses: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<F: FileSystem + Sync>(
+/// One worker's mutable layer: a tool per distinct [`Profile`] it has
+/// run, each over the shared tree and attached to the shared L2 cache.
+/// `G` is `&F` for a scoped worker and `Arc<F>` for a pooled one.
+struct Worker<G: FileSystem> {
+    options: Options,
+    fs: G,
+    shared: Option<Arc<SharedCache>>,
+    tools: Vec<(Profile, SuperC<G>)>,
+}
+
+impl<G: FileSystem + Clone> Worker<G> {
+    fn new(options: Options, fs: G, shared: Option<Arc<SharedCache>>) -> Self {
+        Worker {
+            options,
+            fs,
+            shared,
+            tools: Vec::new(),
+        }
+    }
+
+    /// Builds a fresh tool for `profile`: the worker's options under
+    /// that profile, attached to the shared L2 cache if there is one.
+    fn build(&self, profile: &Profile) -> SuperC<G> {
+        let mut options = self.options.clone();
+        options.pp.profile = profile.clone();
+        let mut tool = SuperC::new(options, self.fs.clone());
+        if let Some(cache) = &self.shared {
+            tool.set_shared_cache(Arc::clone(cache));
+        }
+        tool
+    }
+
+    /// The index of the tool for `profile`, built on first use. Tools
+    /// are keyed by the whole profile, not its name: two profiles that
+    /// share a name may still differ in built-ins.
+    fn tool_for(&mut self, profile: &Profile) -> usize {
+        if let Some(i) = self.tools.iter().position(|(p, _)| p == profile) {
+            return i;
+        }
+        let tool = self.build(profile);
+        self.tools.push((profile.clone(), tool));
+        self.tools.len() - 1
+    }
+
+    /// The claim loop: pull chunks of tasks off the batch's cursor until
+    /// the grid is exhausted, firewalling each one.
+    ///
+    /// With a memo (a pooled warm re-run), each task first consults the
+    /// result memo under its profile's signature — a hit replays the
+    /// cached report and skips the pipeline entirely — and each
+    /// recomputed task is stored back with the include-closure
+    /// fingerprint the preprocessor just observed.
+    ///
+    /// On a caught panic the tool may hold arbitrary mid-unit state, so
+    /// that profile's tool is rebuilt — only the **mutable layer** (BDD
+    /// manager, interner, macro table, L1 cache, engine state); the
+    /// shared artifacts and the L2 cache survive untouched.
+    fn run(&mut self, batch: &Batch) -> WorkerOutput {
+        let n_units = batch.units.len();
+        let n_tasks = n_units * batch.profiles.len();
+        // Each row resolves to its tool once per batch, on first claim.
+        let mut rows: Vec<Option<usize>> = vec![None; batch.profiles.len()];
+        let mut out = WorkerOutput::default();
+        loop {
+            let base = batch.cursor.fetch_add(batch.chunk, Ordering::Relaxed);
+            if base >= n_tasks {
+                break;
+            }
+            for t in base..(base + batch.chunk).min(n_tasks) {
+                let (p, path) = (t / n_units, &batch.units[t % n_units]);
+                let profile = &batch.profiles[p];
+                let i = *rows[p].get_or_insert_with(|| self.tool_for(profile));
+                let tool = &mut self.tools[i].1;
+                if let Some(memo) = &batch.memo {
+                    if let Some(hit) = memo.lookup(path, p, &|q| tool.preprocessor().dep_hash(q)) {
+                        out.memo_hits += 1;
+                        out.units.push((t, hit));
+                        continue;
+                    }
+                    out.memo_misses += 1;
+                }
+                // Panic firewall: a poisoned unit becomes a structured
+                // failure row instead of unwinding through the thread join.
+                let report = match firewalled(|| process_one(tool, path, &batch.copts)) {
+                    Ok(report) => report,
+                    Err(message) => {
+                        self.tools[i].1 = self.build(profile);
+                        UnitReport::failed(path, "panic", &format!("panic: {message}"))
+                    }
+                };
+                if let Some(memo) = &batch.memo {
+                    let pp = self.tools[i].1.preprocessor();
+                    memo.store(path, p, pp.unit_deps(), pp.unit_neg_deps(), &report);
+                }
+                out.units.push((t, report));
+            }
+        }
+        // The gauges cover every tool the worker holds. A pooled worker
+        // keeps its tools across batches, so there they are cumulative
+        // over the worker's lifetime; they are outside the determinism
+        // contract either way.
+        for (_, tool) in &self.tools {
+            out.cond.merge(&tool.ctx().stats());
+            if let Some(b) = tool.ctx().bdd_stats() {
+                out.bdd.get_or_insert_with(BddStats::default).merge(&b);
+            }
+        }
+        out
+    }
+}
+
+/// The one-shot host: scoped workers over a borrowed tree, sharing one
+/// fresh artifact cache. The cache is content-hash keyed (see
+/// `superc_cpp::sharedcache` for the invalidation protocol), but a
+/// one-shot run never leaves its first generation: files only change at
+/// batch boundaries, and this host runs exactly one batch. A lone worker
+/// runs on the calling thread.
+fn run_scoped<F: FileSystem + Sync>(
     fs: &F,
     units: &[String],
     options: &Options,
-    copts: &CorpusOptions,
-    shared: Option<Arc<SharedCache>>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-) -> WorkerOutput {
-    // Per-worker tool: own CondCtx/interner/macro table/L1 header cache
-    // over the shared tree. Reused across this worker's units so header
-    // caching matches the sequential driver. The shared L2 cache (if any)
-    // is attached so this worker can reuse files other workers lexed.
-    let make_tool = || {
-        let mut tool = SuperC::new(options.clone(), fs);
-        if let Some(cache) = &shared {
-            tool.set_shared_cache(cache.clone());
-        }
-        tool
+    profiles: Vec<Profile>,
+    copts: CorpusOptions,
+) -> ProfilesReport {
+    let jobs = if copts.jobs == 0 {
+        default_jobs()
+    } else {
+        copts.jobs
     };
-    let mut tool = make_tool();
-    let mut out = Vec::new();
-    // One-shot workers never see a second batch, so there is no memo to
-    // consult: pass `None` and leave the counters at zero.
-    let (mut hits, mut misses) = (0, 0);
-    claim_loop(
-        &mut tool,
-        &make_tool,
-        units,
-        copts,
-        None,
-        cursor,
-        chunk,
-        &mut out,
-        &mut hits,
-        &mut misses,
-    );
-    WorkerOutput {
-        units: out,
-        cond: tool.ctx().stats(),
-        bdd: tool.ctx().bdd_stats(),
-        memo_hits: hits,
-        memo_misses: misses,
-    }
+    let shared: Option<Arc<SharedCache>> =
+        (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
+    let start = Instant::now();
+    let batch = Batch::new(units, profiles, copts, jobs, None);
+    let work = || Worker::new(options.clone(), fs, shared.clone()).run(&batch);
+    let outputs: Vec<WorkerOutput> = if batch.workers == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..batch.workers).map(|_| s.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("corpus worker panicked"))
+                .collect()
+        })
+    };
+    let wall = start.elapsed();
+    batch.assemble(outputs, wall, shared.map_or(0, |s| s.rehashes()))
 }
 
 /// The cross-profile corpus rollup: one [`CorpusReport`] per profile,
@@ -852,11 +921,11 @@ impl ProfilesReport {
 /// task indices `t = p * units.len() + u`, so workers interleave
 /// profiles instead of running them sequentially, and a slow unit under
 /// one profile never stalls the others. Each worker keeps one warm tool
-/// *per profile it has touched* (lazily built — a worker that never
-/// claims an `msvc-windows` task never pays for its tool) and all tools
-/// share one L2 preprocessing cache: frozen token streams, directive
-/// trees, and guards are pre-expansion artifacts, identical under every
-/// profile.
+/// *per distinct profile it has touched* (lazily built — a worker that
+/// never claims an `msvc-windows` task never pays for its tool) and all
+/// tools share one L2 preprocessing cache: frozen token streams,
+/// directive trees, and guards are pre-expansion artifacts, identical
+/// under every profile.
 ///
 /// [`CorpusOptions::portability`] is forced on — the per-unit slices
 /// are what [`ProfilesReport::lint_records`] diffs. The determinism
@@ -869,281 +938,22 @@ pub fn process_corpus_profiles<F: FileSystem + Sync>(
     copts: &CorpusOptions,
 ) -> ProfilesReport {
     assert!(!profiles.is_empty(), "at least one profile");
-    let n_tasks = units.len() * profiles.len();
-    let requested = if copts.jobs == 0 {
-        default_jobs()
-    } else {
-        copts.jobs
-    };
-    let workers = requested.min(n_tasks).max(1);
     let mut copts = copts.clone();
     copts.portability = true;
-
-    let shared: Option<Arc<SharedCache>> =
-        (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
-
-    let start = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let chunk = chunk_size(n_tasks, workers);
-    let outputs: Vec<WorkerOutput> = if workers == 1 {
-        vec![profiles_worker_loop(
-            fs,
-            units,
-            options,
-            profiles,
-            &copts,
-            shared.clone(),
-            &cursor,
-            chunk,
-        )]
-    } else {
-        std::thread::scope(|s| {
-            let copts = &copts;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let shared = shared.clone();
-                    s.spawn(|| {
-                        profiles_worker_loop(
-                            fs, units, options, profiles, copts, shared, &cursor, chunk,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("corpus worker panicked"))
-                .collect()
-        })
-    };
-    let wall = start.elapsed();
-    let mut report = assemble_profiles(units.len(), profiles, outputs, workers, wall);
-    if let (Some(s), Some(run0)) = (&shared, report.runs.first_mut()) {
-        run0.files_rehashed = s.rehashes();
-    }
-    report
-}
-
-/// The cross-profile analogue of [`claim_loop`]: one cursor over the
-/// `units × profiles` grid, lazy per-profile tools, and a panic
-/// firewall that rebuilds only the poisoned profile's tool. `memo`
-/// carries one options signature *per profile* (the profile is part of
-/// the signature), so a warm grid replays per-profile results
-/// independently.
-#[allow(clippy::too_many_arguments)]
-fn profiles_claim_loop<F: FileSystem>(
-    tools: &mut HashMap<String, SuperC<F>>,
-    make_tool: &dyn Fn(usize) -> SuperC<F>,
-    units: &[String],
-    profiles: &[Profile],
-    copts: &CorpusOptions,
-    memo: Option<&MemoCtx>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-    out: &mut Vec<(usize, UnitReport)>,
-    memo_hits: &mut u64,
-    memo_misses: &mut u64,
-) {
-    let n_tasks = units.len() * profiles.len();
-    loop {
-        let base = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if base >= n_tasks {
-            break;
-        }
-        let end = (base + chunk).min(n_tasks);
-        for t in base..end {
-            let (p, u) = (t / units.len(), t % units.len());
-            let path = &units[u];
-            let name = &profiles[p].name;
-            let tool = tools.entry(name.clone()).or_insert_with(|| make_tool(p));
-            if let Some(memo) = memo {
-                if let Some(hit) = memo.lookup(path, p, &|q| tool.preprocessor().dep_hash(q)) {
-                    *memo_hits += 1;
-                    out.push((t, hit));
-                    continue;
-                }
-                *memo_misses += 1;
-            }
-            let report = match firewalled(|| process_one(tool, path, copts)) {
-                Ok(report) => report,
-                Err(message) => {
-                    tools.insert(name.clone(), make_tool(p));
-                    UnitReport::failed(path, "panic", &format!("panic: {message}"))
-                }
-            };
-            if let Some(memo) = memo {
-                let (deps, neg_deps) = tools
-                    .get(name)
-                    .map(|tool| {
-                        (
-                            tool.preprocessor().unit_deps(),
-                            tool.preprocessor().unit_neg_deps(),
-                        )
-                    })
-                    .unwrap_or_default();
-                memo.store(path, p, deps, neg_deps, &report);
-            }
-            out.push((t, report));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn profiles_worker_loop<F: FileSystem + Sync>(
-    fs: &F,
-    units: &[String],
-    options: &Options,
-    profiles: &[Profile],
-    copts: &CorpusOptions,
-    shared: Option<Arc<SharedCache>>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-) -> WorkerOutput {
-    let make_tool = |p: usize| {
-        let mut opts = options.clone();
-        opts.pp.profile = profiles[p].clone();
-        let mut tool = SuperC::new(opts, fs);
-        if let Some(cache) = &shared {
-            tool.set_shared_cache(cache.clone());
-        }
-        tool
-    };
-    let mut tools: HashMap<String, SuperC<&F>> = HashMap::new();
-    let mut out = Vec::new();
-    let (mut hits, mut misses) = (0, 0);
-    profiles_claim_loop(
-        &mut tools,
-        &make_tool,
-        units,
-        profiles,
-        copts,
-        None,
-        cursor,
-        chunk,
-        &mut out,
-        &mut hits,
-        &mut misses,
-    );
-    let (cond, bdd) = drain_tool_stats(tools.values());
-    WorkerOutput {
-        units: out,
-        cond,
-        bdd,
-        memo_hits: hits,
-        memo_misses: misses,
-    }
-}
-
-/// Sums the condition-context gauges over a worker's per-profile tools.
-fn drain_tool_stats<'a, F: FileSystem + 'a>(
-    tools: impl Iterator<Item = &'a SuperC<F>>,
-) -> (CondStats, Option<BddStats>) {
-    let mut cond = CondStats::default();
-    let mut bdd: Option<BddStats> = None;
-    for tool in tools {
-        cond.merge(&tool.ctx().stats());
-        if let Some(b) = tool.ctx().bdd_stats() {
-            bdd.get_or_insert_with(BddStats::default).merge(&b);
-        }
-    }
-    (cond, bdd)
-}
-
-/// Splits task-indexed worker outputs back into per-profile reports, in
-/// unit input order within each profile. Context gauges are per-worker
-/// and span all profiles, so they land on profile 0's run (they are
-/// outside the determinism contract either way); the per-profile
-/// preprocessor/parser counters are exact sums over that profile's
-/// units.
-fn assemble_profiles(
-    n_units: usize,
-    profiles: &[Profile],
-    outputs: Vec<WorkerOutput>,
-    workers: usize,
-    wall: Duration,
-) -> ProfilesReport {
-    let n_tasks = n_units * profiles.len();
-    let mut slots: Vec<Option<UnitReport>> = (0..n_tasks).map(|_| None).collect();
-    let mut cond = CondStats::default();
-    let mut bdd: Option<BddStats> = None;
-    let mut memo_hits = 0u64;
-    let mut memo_misses = 0u64;
-    for out in outputs {
-        for (t, report) in out.units {
-            debug_assert!(slots[t].is_none(), "task {t} claimed twice");
-            slots[t] = Some(report);
-        }
-        cond.merge(&out.cond);
-        if let Some(b) = out.bdd {
-            bdd.get_or_insert_with(BddStats::default).merge(&b);
-        }
-        memo_hits += out.memo_hits;
-        memo_misses += out.memo_misses;
-    }
-    let mut slots = slots.into_iter();
-    let mut runs = Vec::with_capacity(profiles.len());
-    for p in 0..profiles.len() {
-        let units: Vec<UnitReport> = (&mut slots)
-            .take(n_units)
-            .map(|s| s.expect("every task claimed"))
-            .collect();
-        let mut pp = PpStats::default();
-        let mut parse = ParseStats::default();
-        for u in &units {
-            pp.merge(&u.pp);
-            parse.merge(&u.parse);
-        }
-        // Memo counters span the whole grid (workers interleave
-        // profiles), so like the context gauges they land on profile
-        // 0's run.
-        runs.push(CorpusReport {
-            units,
-            pp,
-            parse,
-            cond: if p == 0 { cond } else { CondStats::default() },
-            bdd: if p == 0 { bdd } else { None },
-            workers,
-            wall,
-            unit_memo_hits: if p == 0 { memo_hits } else { 0 },
-            unit_memo_misses: if p == 0 { memo_misses } else { 0 },
-            files_rehashed: 0,
-        });
-    }
-    ProfilesReport {
-        profiles: profiles.iter().map(|p| p.name.clone()).collect(),
-        runs,
-        workers,
-        wall,
-    }
-}
-
-/// One batch of work for a pooled worker: the unit list, the shared
-/// cursor, and the channel to report back on. `profiles` switches the
-/// batch into cross-profile mode (the task grid of
-/// [`process_corpus_profiles`]); `memo` switches it into warm mode
-/// (consult/fill the pool's unit result memo).
-struct Batch {
-    units: Arc<Vec<String>>,
-    copts: CorpusOptions,
-    cursor: Arc<AtomicUsize>,
-    chunk: usize,
-    profiles: Option<Arc<Vec<Profile>>>,
-    memo: Option<MemoCtx>,
-    done: mpsc::Sender<WorkerOutput>,
+    run_scoped(fs, units, options, profiles.to_vec(), copts)
 }
 
 /// The warm-mode context a batch carries to every worker: the pool's
-/// result memo, the per-profile options signatures (one entry for a
-/// plain batch, one per profile for a grid batch), and what the batch
-/// knows about edits since the previous one.
-#[derive(Clone)]
+/// result memo, one options signature per profile row, and what the
+/// batch knows about edits since the previous one.
 struct MemoCtx {
     memo: Arc<UnitMemo>,
-    sigs: Arc<Vec<u64>>,
+    sigs: Vec<u64>,
     /// The batch's shared-cache generation.
     gen: u64,
     /// The sorted paths the tree reported as changed since the previous
     /// generation; `None` when it cannot tell.
-    changed: Option<Arc<Vec<String>>>,
+    changed: Option<Vec<String>>,
 }
 
 impl MemoCtx {
@@ -1245,7 +1055,7 @@ impl MemoCtx {
 /// ```
 pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     jobs: usize,
-    txs: Vec<mpsc::Sender<Batch>>,
+    txs: Vec<mpsc::Sender<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     /// The pool-wide L2 cache (`None` for `no_shared_cache` pools); the
     /// runner starts a generation at every batch boundary so workers
@@ -1263,9 +1073,10 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
 
 impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     /// Spawns a pool of `jobs` workers (`0` means [`default_jobs`]) over
-    /// `fs`. Each worker immediately builds its mutable layer (tool over
-    /// `Arc<F>`, attached to one pool-wide shared L2 cache unless
-    /// `no_shared_cache`) and then waits for batches.
+    /// `fs`, all attached to one pool-wide shared L2 cache unless
+    /// `no_shared_cache`. Each worker builds a tool (over `Arc<F>`) for
+    /// each profile the first time a batch hands it one, and keeps it
+    /// for later batches.
     pub fn new(options: &Options, fs: Arc<F>, jobs: usize, no_shared_cache: bool) -> Self {
         let jobs = if jobs == 0 { default_jobs() } else { jobs };
         let shared: Option<Arc<SharedCache>> =
@@ -1273,91 +1084,23 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         let mut txs = Vec::with_capacity(jobs);
         let mut handles = Vec::with_capacity(jobs);
         for _ in 0..jobs {
-            let (tx, rx) = mpsc::channel::<Batch>();
-            let options = options.clone();
-            let fs = fs.clone();
-            let shared = shared.clone();
+            let (tx, rx) = mpsc::channel::<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>();
+            let (options, fs, shared) = (options.clone(), Arc::clone(&fs), shared.clone());
             handles.push(std::thread::spawn(move || {
-                let make_tool = || {
-                    let mut tool = SuperC::new(options.clone(), fs.clone());
-                    if let Some(cache) = &shared {
-                        tool.set_shared_cache(cache.clone());
-                    }
-                    tool
-                };
-                let mut tool = make_tool();
-                // Cross-profile batches get their own warm tools, one
-                // per profile this worker has touched, kept across
-                // batches like the base tool.
-                let mut profile_tools: HashMap<String, SuperC<Arc<F>>> = HashMap::new();
-                while let Ok(batch) = rx.recv() {
+                let mut worker = Worker::new(options, fs, shared);
+                while let Ok((batch, done)) = rx.recv() {
                     // Without a shared cache there is no generation
                     // protocol, so the only edit-correct stance for a
                     // pool that may see the tree change between batches
                     // is to drop every worker's L1 header cache at the
                     // boundary. Output-neutral: an L1 hit and a fresh
                     // lex credit files/bytes identically.
-                    if shared.is_none() {
-                        tool.invalidate_file_cache();
-                        for t in profile_tools.values_mut() {
-                            t.invalidate_file_cache();
+                    if worker.shared.is_none() {
+                        for (_, tool) in &mut worker.tools {
+                            tool.invalidate_file_cache();
                         }
                     }
-                    let mut out = Vec::new();
-                    let (mut hits, mut misses) = (0, 0);
-                    match &batch.profiles {
-                        Some(profiles) => {
-                            let make_profile_tool = |p: usize| {
-                                let mut opts = options.clone();
-                                opts.pp.profile = profiles[p].clone();
-                                let mut tool = SuperC::new(opts, fs.clone());
-                                if let Some(cache) = &shared {
-                                    tool.set_shared_cache(cache.clone());
-                                }
-                                tool
-                            };
-                            profiles_claim_loop(
-                                &mut profile_tools,
-                                &make_profile_tool,
-                                &batch.units,
-                                profiles,
-                                &batch.copts,
-                                batch.memo.as_ref(),
-                                &batch.cursor,
-                                batch.chunk,
-                                &mut out,
-                                &mut hits,
-                                &mut misses,
-                            );
-                        }
-                        None => claim_loop(
-                            &mut tool,
-                            &make_tool,
-                            &batch.units,
-                            &batch.copts,
-                            batch.memo.as_ref(),
-                            &batch.cursor,
-                            batch.chunk,
-                            &mut out,
-                            &mut hits,
-                            &mut misses,
-                        ),
-                    }
-                    // Cond/BDD gauges are worker-lifetime cumulative
-                    // here (the manager persists across batches); they
-                    // are outside the determinism contract either way.
-                    let (mut cond, mut bdd) = drain_tool_stats(profile_tools.values());
-                    cond.merge(&tool.ctx().stats());
-                    if let Some(b) = tool.ctx().bdd_stats() {
-                        bdd.get_or_insert_with(BddStats::default).merge(&b);
-                    }
-                    let _ = batch.done.send(WorkerOutput {
-                        units: out,
-                        cond,
-                        bdd,
-                        memo_hits: hits,
-                        memo_misses: misses,
-                    });
+                    let _ = done.send(worker.run(&batch));
                 }
             }));
             txs.push(tx);
@@ -1385,77 +1128,12 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         self.shared.as_ref()
     }
 
-    /// Starts a new batch: ask the tree what changed since the previous
-    /// batch, start a shared-cache generation that revalidates exactly
-    /// those paths (every path when the tree cannot tell), and record
-    /// the rehash baseline for this batch's `files_rehashed` gauge.
-    /// Returns the warm-mode memo context when the batch asked for one.
-    fn start_batch(&self, copts: &CorpusOptions, sigs: Vec<u64>) -> (Option<MemoCtx>, u64) {
-        let changed = self.fs.take_changes().map(|mut paths| {
-            paths.sort_unstable();
-            paths.dedup();
-            paths
-        });
-        let Some(s) = &self.shared else {
-            return (None, 0);
-        };
-        let gen = s.next_generation_with(changed.as_deref());
-        let memo = copts.warm.then(|| MemoCtx {
-            memo: self.memo.clone(),
-            sigs: Arc::new(sigs),
-            gen,
-            changed: changed.map(Arc::new),
-        });
-        (memo, s.rehashes())
-    }
-
-    /// Ends a batch: sweep dead artifacts out of the L2 after warm
-    /// batches (cold pools churn no hashes, so there is nothing to
-    /// evict and the sweep would be pure overhead), and return this
-    /// batch's rehash count.
-    fn finish_batch(&self, copts: &CorpusOptions, rehash_base: u64) -> u64 {
-        match &self.shared {
-            Some(s) => {
-                let rehashed = s.rehashes() - rehash_base;
-                if copts.warm {
-                    s.sweep();
-                }
-                rehashed
-            }
-            None => 0,
-        }
-    }
-
     /// Runs one batch over the pool and reassembles the report in input
     /// order. Batches beyond the first reuse warm workers; a batch
     /// smaller than the pool leaves the excess workers idle.
     pub fn run(&mut self, units: &[String], copts: &CorpusOptions) -> CorpusReport {
-        let workers = self.jobs.min(units.len()).max(1);
-        let start = Instant::now();
-        let (memo, rehash_base) = self.start_batch(copts, vec![options_sig(&self.options, copts)]);
-        let shared_units = Arc::new(units.to_vec());
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let chunk = chunk_size(units.len(), workers);
-        let (done_tx, done_rx) = mpsc::channel();
-        for tx in self.txs.iter().take(workers) {
-            tx.send(Batch {
-                units: shared_units.clone(),
-                copts: copts.clone(),
-                cursor: cursor.clone(),
-                chunk,
-                profiles: None,
-                memo: memo.clone(),
-                done: done_tx.clone(),
-            })
-            .expect("pool worker alive");
-        }
-        drop(done_tx);
-        let outputs: Vec<WorkerOutput> = done_rx.iter().collect();
-        assert_eq!(outputs.len(), workers, "pool worker died mid-batch");
-        let wall = start.elapsed();
-        let mut report = assemble(units.len(), outputs, workers, wall);
-        report.files_rehashed = self.finish_batch(copts, rehash_base);
-        report
+        let row = vec![self.options.pp.profile.clone()];
+        self.run_grid(units, row, copts.clone()).runs.swap_remove(0)
     }
 
     /// Runs one cross-profile batch over the pool: the task grid and
@@ -1470,51 +1148,72 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         copts: &CorpusOptions,
     ) -> ProfilesReport {
         assert!(!profiles.is_empty(), "at least one profile");
-        let n_tasks = units.len() * profiles.len();
-        let workers = self.jobs.min(n_tasks).max(1);
         let mut copts = copts.clone();
         copts.portability = true;
+        self.run_grid(units, profiles.to_vec(), copts)
+    }
+
+    /// The pooled host around the shared scheduler, one batch per call.
+    ///
+    /// A batch starts by asking the tree what changed since the previous
+    /// batch and starting a shared-cache generation that revalidates
+    /// exactly those paths (every path when the tree cannot tell). It
+    /// then fans one [`Batch`] out to the pool, and ends by sweeping
+    /// dead artifacts out of the L2 after warm batches (cold pools churn
+    /// no hashes, so there is nothing to evict and the sweep would be
+    /// pure overhead). `files_rehashed` counts this batch's rehashes.
+    fn run_grid(
+        &mut self,
+        units: &[String],
+        profiles: Vec<Profile>,
+        copts: CorpusOptions,
+    ) -> ProfilesReport {
         let start = Instant::now();
-        // One signature per profile: the profile is part of each
-        // signature (it changes output), and everything else —
-        // including the forced `portability` above — is identical
-        // across the row.
-        let sigs: Vec<u64> = profiles
-            .iter()
-            .map(|p| {
-                let mut opts = self.options.clone();
-                opts.pp.profile = p.clone();
-                options_sig(&opts, &copts)
-            })
-            .collect();
-        let (memo, rehash_base) = self.start_batch(&copts, sigs);
-        let shared_units = Arc::new(units.to_vec());
-        let shared_profiles = Arc::new(profiles.to_vec());
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let chunk = chunk_size(n_tasks, workers);
+        let changed = self.fs.take_changes().map(|mut paths| {
+            paths.sort_unstable();
+            paths.dedup();
+            paths
+        });
+        let (memo, rehash_base) = match &self.shared {
+            Some(s) => {
+                let gen = s.next_generation_with(changed.as_deref());
+                // One signature per row: the profile changes output, and
+                // everything else is identical across the grid.
+                let memo = copts.warm.then(|| MemoCtx {
+                    memo: Arc::clone(&self.memo),
+                    sigs: profiles
+                        .iter()
+                        .map(|p| {
+                            let mut opts = self.options.clone();
+                            opts.pp.profile = p.clone();
+                            options_sig(&opts, &copts)
+                        })
+                        .collect(),
+                    gen,
+                    changed,
+                });
+                (memo, s.rehashes())
+            }
+            None => (None, 0),
+        };
+        let batch = Arc::new(Batch::new(units, profiles, copts, self.jobs, memo));
         let (done_tx, done_rx) = mpsc::channel();
-        for tx in self.txs.iter().take(workers) {
-            tx.send(Batch {
-                units: shared_units.clone(),
-                copts: copts.clone(),
-                cursor: cursor.clone(),
-                chunk,
-                profiles: Some(shared_profiles.clone()),
-                memo: memo.clone(),
-                done: done_tx.clone(),
-            })
-            .expect("pool worker alive");
+        for tx in self.txs.iter().take(batch.workers) {
+            tx.send((Arc::clone(&batch), done_tx.clone()))
+                .expect("pool worker alive");
         }
         drop(done_tx);
         let outputs: Vec<WorkerOutput> = done_rx.iter().collect();
-        assert_eq!(outputs.len(), workers, "pool worker died mid-batch");
+        assert_eq!(outputs.len(), batch.workers, "pool worker died mid-batch");
         let wall = start.elapsed();
-        let mut report = assemble_profiles(units.len(), profiles, outputs, workers, wall);
-        let rehashed = self.finish_batch(&copts, rehash_base);
-        if let Some(run0) = report.runs.first_mut() {
-            run0.files_rehashed = rehashed;
-        }
-        report
+        let rehashed = self.shared.as_ref().map_or(0, |s| {
+            let rehashed = s.rehashes() - rehash_base;
+            if batch.copts.warm {
+                s.sweep();
+            }
+            rehashed
+        });
+        batch.assemble(outputs, wall, rehashed)
     }
 }
 

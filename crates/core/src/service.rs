@@ -1,8 +1,8 @@
 //! The embeddable service layer: a long-running [`Driver`] that owns a
 //! pooled [`CorpusRunner`], its shared preprocessing cache, and its unit
-//! result memo **across requests** — the engine behind the
-//! `superc-facade` crate, the C FFI (`superc-capi`), and the
-//! `superc daemon` NDJSON server.
+//! result memo **across requests** — the surface an embedding host (an
+//! IDE, a build server) uses directly, and the engine behind the C FFI
+//! (`superc-capi`) and the `superc daemon` NDJSON server.
 //!
 //! A driver is a session, not a command: callers populate a virtual
 //! file tree (or plug in a resolver callback that reaches disk, an
@@ -12,6 +12,41 @@
 //! changes, [`Driver::end_generation`] commits them. The next request
 //! replays every unit whose include closure (positive *and* negative
 //! dependencies — see `corpus::UnitMemo`) is untouched.
+//!
+//! ```
+//! use superc::analyze::LintOptions;
+//! use superc::cli::LintFormat;
+//! use superc::service::Driver;
+//! use superc::Options;
+//!
+//! let mut options = Options::default();
+//! options.pp.include_paths = vec!["include".to_string()];
+//! let mut driver = Driver::new(options, 2);
+//!
+//! // A fresh driver has generation 1 open: populate the tree.
+//! driver.set_file("include/w.h", "#define W 1\n")?;
+//! driver.set_file("a.c", "#include <w.h>\nint a = W;\n")?;
+//! driver.end_generation()?;
+//!
+//! // Requests replay memoized units whose include closure (positive
+//! // and negative dependencies) is untouched.
+//! let units = vec!["a.c".to_string()];
+//! let first = driver.parse(&units)?;
+//! assert_eq!(first.parsed_units(), 1);
+//!
+//! // Edits are batched into explicit generations.
+//! driver.begin_generation()?;
+//! driver.set_file("include/w.h", "#define W 2\n")?;
+//! driver.end_generation()?;
+//! let second = driver.parse(&units)?;
+//! assert!(!second.units[0].memo_hit); // the edit invalidated a.c
+//!
+//! // Rendered requests are byte-identical to the one-shot CLI.
+//! let lint = driver.lint_rendered(
+//!     &units, LintFormat::Json, &[], &LintOptions::default(), false)?;
+//! assert!(lint.stdout.starts_with("{\"diagnostics\":"));
+//! # Ok::<(), String>(())
+//! ```
 //!
 //! What the next request must re-prove depends on where files come
 //! from. A driver without a resolver holds every file in its overlay,
@@ -42,7 +77,7 @@ use superc_cpp::FileSystem;
 
 use crate::analyze::LintOptions;
 use crate::cli::{self, LintFormat, Rendered};
-use crate::corpus::{Capture, CorpusOptions, CorpusReport, CorpusRunner, ProfilesReport};
+use crate::corpus::{Capture, CorpusOptions, CorpusReport, CorpusRunner};
 use crate::{Options, Profile};
 
 /// A pluggable include resolver: given an exact path, produce the file
@@ -290,11 +325,7 @@ impl Driver {
         self.request("parse")?;
         let copts = self.copts(Capture::default(), None);
         let report = self.pool.run(units, &copts);
-        self.note(
-            report.unit_memo_hits,
-            report.unit_memo_misses,
-            report.files_rehashed,
-        );
+        self.note(&report);
         Ok(report)
     }
 
@@ -313,11 +344,7 @@ impl Driver {
         };
         let copts = self.copts(capture, None);
         let report = self.pool.run(units, &copts);
-        self.note(
-            report.unit_memo_hits,
-            report.unit_memo_misses,
-            report.files_rehashed,
-        );
+        self.note(&report);
         Ok(cli::render_corpus_report(&report, show_ast, show_stats))
     }
 
@@ -337,20 +364,11 @@ impl Driver {
         let copts = self.copts(Capture::default(), Some(opts.clone()));
         if profiles.is_empty() {
             let report = self.pool.run(units, &copts);
-            self.note(
-                report.unit_memo_hits,
-                report.unit_memo_misses,
-                report.files_rehashed,
-            );
+            self.note(&report);
             Ok(cli::render_lint_report(&report, format, show_stats))
         } else {
-            let report: ProfilesReport = self.pool.run_profiles(units, profiles, &copts);
-            let first = &report.runs[0];
-            self.note(
-                first.unit_memo_hits,
-                first.unit_memo_misses,
-                first.files_rehashed,
-            );
+            let report = self.pool.run_profiles(units, profiles, &copts);
+            self.note(&report.runs[0]);
             Ok(cli::render_lint_profiles(&report, format, opts, show_stats))
         }
     }
@@ -384,11 +402,13 @@ impl Driver {
         }
     }
 
-    fn note(&mut self, hits: u64, misses: u64, rehashed: u64) {
+    /// Records a served batch. A grid batch passes its row 0, which
+    /// carries the grid-wide memo and rehash counters.
+    fn note(&mut self, report: &CorpusReport) {
         self.stats.batches += 1;
-        self.stats.unit_memo_hits = hits;
-        self.stats.unit_memo_misses = misses;
-        self.stats.files_rehashed = rehashed;
+        self.stats.unit_memo_hits = report.unit_memo_hits;
+        self.stats.unit_memo_misses = report.unit_memo_misses;
+        self.stats.files_rehashed = report.files_rehashed;
     }
 
     fn require_open(&self, what: &str) -> Result<(), String> {

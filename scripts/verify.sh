@@ -429,5 +429,10 @@ echo "verify: C API smoke OK"
 
 cargo fmt --all --check
 cargo clippy --workspace -- -D warnings
+# The frozen benchmark (perfbench/, its own workspace) compiles against
+# the corpus entry points, the cli renderers, service::Driver and the
+# daemon protocol: build it and run its generator tests here, so an API
+# break fails this script rather than the benchmark pipeline.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml
 scripts/bench.sh
 echo "verify: OK"

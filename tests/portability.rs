@@ -12,13 +12,14 @@
 //! matrix, and cross-profile per-profile slices must agree with plain
 //! single-profile runs.
 
+use std::slice;
 use std::sync::Arc;
 
 use superc::analyze::{render, LintOptions, Record};
 use superc::corpus::{
     process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusRunner, UnitFailure,
 };
-use superc::{CondBackend, CondCtx, DiskFs, Options, Profile};
+use superc::{CondBackend, CondCtx, DiskFs, MemFs, Options, Profile};
 
 fn fixture_fs() -> DiskFs {
     DiskFs::new(concat!(
@@ -336,4 +337,103 @@ fn fatal_divergence_surfaces_as_divergent_decl() {
         "{}",
         fatal.message
     );
+}
+
+/// A unit whose only branch decision is a compiler built-in.
+const GNUC_UNIT: &str = "#if __GNUC__ >= 4\nint modern;\n#else\nint legacy;\n#endif\n";
+
+/// A custom profile that keeps the shipped `gcc-linux` name but carries
+/// gcc 3's `__GNUC__`: same name, different built-ins.
+fn gcc3_named_gcc_linux() -> Profile {
+    let mut profile = Profile::named("gcc-linux").expect("shipped profile");
+    for (name, value) in &mut profile.builtins.defs {
+        if name == "__GNUC__" {
+            *value = "3".to_string();
+        }
+    }
+    profile
+}
+
+/// Lint plus the unit's unparse under the empty configuration (the
+/// built-in decides the branch, so no variable matters).
+fn unparse_copts(jobs: usize) -> CorpusOptions {
+    CorpusOptions {
+        capture: Capture {
+            unparse_configs: vec![Vec::new()],
+            ..Capture::default()
+        },
+        ..copts(jobs, false)
+    }
+}
+
+/// A pooled worker must not hand a profile another profile's tool just
+/// because the two share a name: after a batch under the gcc-3
+/// `gcc-linux`, a batch under the shipped `gcc-linux` must match a
+/// fresh run.
+#[test]
+fn pooled_same_name_profiles_run_on_their_own_builtins() {
+    let fs = MemFs::new().file("a.c", GNUC_UNIT);
+    let units = vec!["a.c".to_string()];
+    let (custom, shipped) = (gcc3_named_gcc_linux(), Profile::gcc_linux());
+    for jobs in [1, 2, 8] {
+        let mut pool = CorpusRunner::new(&Options::default(), Arc::new(fs.clone()), jobs, false);
+        let first = pool.run_profiles(&units, slice::from_ref(&custom), &unparse_copts(jobs));
+        assert_eq!(
+            first.runs[0].units[0].unparses,
+            ["int legacy ;"],
+            "jobs={jobs}"
+        );
+        let second = pool.run_profiles(&units, slice::from_ref(&shipped), &unparse_copts(jobs));
+        let fresh = process_corpus_profiles(
+            &fs,
+            &units,
+            &Options::default(),
+            slice::from_ref(&shipped),
+            &unparse_copts(jobs),
+        );
+        assert_eq!(fresh.runs[0].units[0].unparses, ["int modern ;"]);
+        let (got, want) = (&second.runs[0].units[0], &fresh.runs[0].units[0]);
+        assert_eq!(got.unparses, want.unparses, "jobs={jobs}: stale built-ins");
+        assert_eq!(got.portability, want.portability, "jobs={jobs}");
+        assert_eq!(got.lints, want.lints, "jobs={jobs}");
+    }
+}
+
+/// In one grid, rows under two same-name profiles must each equal a
+/// single-profile run under that profile. At `jobs` 1 one worker runs
+/// both rows, so a tool shared by name shows up deterministically.
+#[test]
+fn one_shot_grid_rows_under_same_name_profiles_match_single_runs() {
+    let fs = MemFs::new().file("a.c", GNUC_UNIT);
+    let units = vec!["a.c".to_string()];
+    let profiles = [Profile::gcc_linux(), gcc3_named_gcc_linux()];
+    let singles: Vec<_> = profiles
+        .iter()
+        .map(|profile| {
+            let mut options = Options::default();
+            options.pp.profile = profile.clone();
+            let copts = CorpusOptions {
+                portability: true,
+                ..unparse_copts(1)
+            };
+            process_corpus(&fs, &units, &options, &copts)
+        })
+        .collect();
+    assert_eq!(singles[0].units[0].unparses, ["int modern ;"]);
+    assert_eq!(singles[1].units[0].unparses, ["int legacy ;"]);
+    for jobs in [1, 2, 8] {
+        let grid = process_corpus_profiles(
+            &fs,
+            &units,
+            &Options::default(),
+            &profiles,
+            &unparse_copts(jobs),
+        );
+        for (p, single) in singles.iter().enumerate() {
+            let (got, want) = (&grid.runs[p].units[0], &single.units[0]);
+            assert_eq!(got.unparses, want.unparses, "jobs={jobs} row {p}");
+            assert_eq!(got.portability, want.portability, "jobs={jobs} row {p}");
+            assert_eq!(got.lints, want.lints, "jobs={jobs} row {p}");
+        }
+    }
 }

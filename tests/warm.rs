@@ -13,7 +13,8 @@
 //!   `tests/parallel.rs`;
 //! * fast path (fused lexing + deterministic LR fast path) on and off;
 //! * one profile ([`CorpusRunner::run`]) and a three-profile grid
-//!   ([`CorpusRunner::run_profiles`]);
+//!   ([`CorpusRunner::run_profiles`]), each alone and both alternating
+//!   on one pool;
 //! * both revalidation paths: a [`SharedMemFs`], which reports its
 //!   changes so a batch revalidates only the edited paths, and an
 //!   opaque tree that cannot, so every batch revalidates every path.
@@ -408,6 +409,74 @@ fn warm_profiles_matrix<T: Tree>() {
                     "{label}: files rehashed"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn one_pool_serves_single_profile_and_grid_batches_across_an_edit() {
+    mixed_shapes_matrix::<SharedMemFs>();
+    mixed_shapes_matrix::<OpaqueFs>();
+}
+
+/// One pool alternates both batch shapes — `run`, a three-profile
+/// `run_profiles`, an edit, then `run` and `run_profiles` again — so
+/// the single-profile batches and the grid's `gcc-linux` row share one
+/// warm tool per worker. Every batch must match a fresh one-shot run,
+/// with exact memo counts: the grid forces `portability` on, so its
+/// memo signatures differ from the single-profile batches' and the two
+/// shapes never replay each other's entries.
+fn mixed_shapes_matrix<T: Tree>() {
+    let units = units();
+    let n = units.len() as u64;
+    let profiles: Vec<Profile> = ["gcc-linux", "clang-linux", "msvc-windows"]
+        .iter()
+        .map(|n| Profile::named(n).expect("shipped profile"))
+        .collect();
+    let rows = profiles.len() as u64;
+    let lopts = LintOptions::default();
+    for edit in edits() {
+        for jobs in [1usize, 2, 8] {
+            let label = format!("tree={} edit={} jobs={jobs}", T::NAME, edit.label);
+            let opts = options(true);
+            let fs = T::fixture();
+            let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs, false);
+            let single = |pool: &mut CorpusRunner<T>, batch: &str, hits: u64| {
+                let warm = pool.run(&units, &copts(true));
+                let cold = process_corpus(&*fs, &units, &opts, &copts(false));
+                let label = format!("{label} {batch}");
+                assert_reports_identical(&cold, &warm, &label);
+                assert_eq!(warm.unit_memo_hits, hits, "{label}: memo hits");
+                assert_eq!(warm.unit_memo_misses, n - hits, "{label}: memo misses");
+            };
+            let grid = |pool: &mut CorpusRunner<T>, batch: &str, hits: u64| {
+                let warm = pool.run_profiles(&units, &profiles, &copts(true));
+                let cold = process_corpus_profiles(&*fs, &units, &opts, &profiles, &copts(false));
+                let label = format!("{label} {batch}");
+                for (p, (c, w)) in cold.runs.iter().zip(&warm.runs).enumerate() {
+                    assert_reports_identical(c, w, &format!("{label} profile {p}"));
+                }
+                assert_eq!(
+                    cold.lint_records(&lopts),
+                    warm.lint_records(&lopts),
+                    "{label}: merged lint records"
+                );
+                assert_eq!(warm.runs[0].unit_memo_hits, hits, "{label}: memo hits");
+                assert_eq!(
+                    warm.runs[0].unit_memo_misses,
+                    n * rows - hits,
+                    "{label}: memo misses"
+                );
+            };
+
+            single(&mut pool, "run 1", 0);
+            grid(&mut pool, "grid 1", 0);
+            if let Some((path, contents)) = edit.touch {
+                fs.edit(path, contents);
+            }
+            let untouched = edit.hits.iter().filter(|&&h| h).count() as u64;
+            single(&mut pool, "run 2", untouched);
+            grid(&mut pool, "grid 2", untouched * rows);
         }
     }
 }
