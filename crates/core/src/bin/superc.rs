@@ -543,18 +543,29 @@ fn run_daemon(args: &Args) -> ExitCode {
         eprintln!("daemon: driver initialization failed");
         return ExitCode::FAILURE;
     }
-    let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut input = std::io::stdin().lock();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match input.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let (response, quit) = superc::service::daemon::handle_line(&mut driver, &line);
+        // Read raw bytes so a line that is not UTF-8 gets an error
+        // response instead of ending the session.
+        let (response, quit) = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => superc::service::daemon::handle_line(&mut driver, text),
+            Err(e) => (
+                format!(
+                    "{{\"ok\":false,\"error\":\"bad request: not UTF-8 at byte {}\"}}",
+                    e.valid_up_to()
+                ),
+                false,
+            ),
+        };
         if writeln!(out, "{response}")
             .and_then(|()| out.flush())
             .is_err()

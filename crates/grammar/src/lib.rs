@@ -4,9 +4,11 @@
 //! produced by Bison (§5): reusing existing LR technology is one of the
 //! paper's selling points over parser-combinator approaches. This crate is
 //! the Bison substitute: a grammar builder, LR(0) automaton construction,
-//! LALR(1) lookahead computation by spontaneous-generation/propagation
-//! (Dragon book §4.7.5, equivalent to DeRemer–Pennello), and dense
-//! action/goto tables with precedence-based conflict resolution.
+//! LALR(1) lookahead computation by DeRemer and Pennello's method (the
+//! `reads` and `includes` relations over nonterminal transitions, each
+//! closed by a digraph/SCC pass, as in Bison), and dense action/goto
+//! tables with precedence-based conflict resolution. State numbers are
+//! deterministic: the same grammar always yields the same tables.
 //!
 //! It also carries SuperC's grammar *annotations* (§5.1) that drive AST
 //! construction in the parser engine without hand-written semantic

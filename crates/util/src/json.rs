@@ -7,7 +7,13 @@
 //! parser over the full JSON grammar: objects, arrays, strings with
 //! `\uXXXX` escapes (surrogate pairs included), numbers, and the three
 //! literals. Object keys keep insertion order; duplicate keys keep the
-//! last value on lookup (like every mainstream parser).
+//! last value on lookup (like every mainstream parser). Arrays and
+//! objects nest at most 128 deep.
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so the bound keeps a hostile
+/// line from overflowing the stack; daemon requests nest two deep.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,7 +38,8 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with the byte offset of the problem.
+    /// A human-readable message with the byte offset of the problem;
+    /// arrays and objects nested more than 128 deep are refused.
     ///
     /// # Examples
     ///
@@ -45,6 +52,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -99,6 +107,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -119,8 +129,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -129,6 +139,21 @@ impl Parser<'_> {
             Some(&b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -350,6 +375,15 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -14,6 +14,11 @@ if [[ "${1:-}" == "--workspace" ]]; then
     cargo test --workspace -q
 else
     cargo test -q
+    # The table generator's own cases live only in these crates:
+    # LALR-not-SLR, ε-productions, conflicts, precedence, the C grammar's
+    # known conflicts, and the differential against the reference
+    # lookahead pass.
+    cargo test -q -p superc-grammar -p superc-csyntax
 fi
 # Re-run the parallel determinism suite with a wider, oversubscribed jobs
 # ladder than the default 1,2,8 — cheap extra scheduling coverage.
@@ -249,6 +254,13 @@ fi
 daemon_check "post-edit lint" \
     "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"json\"}" \
     lint --format json --jobs 4 "${DUNITS[@]}"
+# A request line that is not UTF-8 gets an error response, and the
+# session keeps serving (the stats request below).
+resp=$(daemon_request $'\xff\xfe')
+if [[ $(jq -r .ok <<<"$resp") != false ]]; then
+    echo "verify: daemon must answer a non-UTF-8 line with ok:false: $resp" >&2
+    exit 1
+fi
 stats=$(daemon_request '{"cmd":"stats"}')
 if [[ $(jq -r .unit_memo_misses <<<"$stats") != 1 ]]; then
     echo "verify: daemon must recompute exactly the edited unit: $stats" >&2

@@ -356,8 +356,10 @@ fn daemon_rejects_malformed_requests_without_dying() {
     let tree = Tree::new("errors");
     let mut driver = Driver::with_disk_root(Options::default(), 2, tree.root_str());
     driver.end_generation().expect("commit");
+    let deep = "[".repeat(200_000);
     for (line, needle) in [
         ("not json at all", "bad request"),
+        (deep.as_str(), "nesting deeper than"),
         ("{\"units\":[\"a.c\"]}", "needs a \"cmd\""),
         ("{\"cmd\":\"levitate\"}", "unknown cmd"),
         ("{\"cmd\":\"parse\"}", "units"),
@@ -385,4 +387,12 @@ fn daemon_rejects_malformed_requests_without_dying() {
     // The session still works after every rejected request.
     let response = request(&mut driver, "{\"cmd\":\"parse\",\"units\":[\"a.c\"]}");
     assert_eq!(response.get("failed").and_then(Json::as_bool), Some(false));
+    // The nesting bound, not the thread's stack size, stops the parser.
+    let rejected = std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(move || Json::parse(&deep).is_err())
+        .expect("spawn a small-stack thread")
+        .join()
+        .expect("the parse returns");
+    assert!(rejected);
 }
