@@ -181,6 +181,17 @@ pub struct Capture {
     pub unparse_configs: Vec<Vec<String>>,
 }
 
+/// Stack size of every spawned corpus worker: the 8 MiB a Linux main
+/// thread gets, so a unit that parses alone on the main thread parses
+/// the same on a worker. Stacks are committed lazily, so memory use
+/// does not grow.
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
+/// A corpus worker thread with [`WORKER_STACK_BYTES`] of stack.
+fn worker_thread() -> std::thread::Builder {
+    std::thread::Builder::new().stack_size(WORKER_STACK_BYTES)
+}
+
 /// The worker count used when [`CorpusOptions::jobs`] is `0`.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -774,7 +785,13 @@ fn run_scoped<F: FileSystem + Sync>(
         vec![work()]
     } else {
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..batch.workers).map(|_| s.spawn(work)).collect();
+            let handles: Vec<_> = (0..batch.workers)
+                .map(|_| {
+                    worker_thread()
+                        .spawn_scoped(s, work)
+                        .expect("spawn corpus worker")
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("corpus worker panicked"))
@@ -1086,7 +1103,7 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         for _ in 0..jobs {
             let (tx, rx) = mpsc::channel::<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>();
             let (options, fs, shared) = (options.clone(), Arc::clone(&fs), shared.clone());
-            handles.push(std::thread::spawn(move || {
+            let spawned = worker_thread().spawn(move || {
                 let mut worker = Worker::new(options, fs, shared);
                 while let Ok((batch, done)) = rx.recv() {
                     // Without a shared cache there is no generation
@@ -1102,7 +1119,8 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
                     }
                     let _ = done.send(worker.run(&batch));
                 }
-            }));
+            });
+            handles.push(spawned.expect("spawn corpus worker"));
             txs.push(tx);
         }
         CorpusRunner {

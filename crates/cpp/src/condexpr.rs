@@ -79,9 +79,17 @@ enum V {
     Opaque(String),
 }
 
+/// How deeply an `#if` expression may nest — parentheses, prefix
+/// operators and `?:` arms together; the same bound as conditional
+/// nesting. Deeper input is malformed: a warning and an opaque
+/// condition, never a stack overflow.
+const MAX_EXPR_DEPTH: u32 = 64;
+
 struct ExprParser<'t> {
     toks: &'t [PTok],
     i: usize,
+    /// Current nesting, bounded by [`MAX_EXPR_DEPTH`].
+    depth: u32,
     /// defined-placeholder index -> resolved condition.
     defined: &'t [Cond],
     ctx: superc_cond::CondCtx,
@@ -127,6 +135,20 @@ impl<'t> ExprParser<'t> {
         V::Int(0)
     }
 
+    /// Parses one nested operand with `parse`, failing past
+    /// [`MAX_EXPR_DEPTH`]. Every recursive path goes through here.
+    fn nested(&mut self, parse: fn(&mut Self) -> V) -> V {
+        if self.depth == MAX_EXPR_DEPTH {
+            return self.fail(&format!(
+                "conditional expression nested deeper than {MAX_EXPR_DEPTH}"
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn cond_of(&mut self, v: &V) -> Cond {
         match v {
             V::Int(0) => self.ctx.fls(),
@@ -156,11 +178,11 @@ impl<'t> ExprParser<'t> {
         if !self.eat_punct(Punct::Question) {
             return c;
         }
-        let a = self.ternary();
+        let a = self.nested(Self::ternary);
         if !self.eat_punct(Punct::Colon) {
             return self.fail("expected ':' in conditional expression");
         }
-        let b = self.ternary();
+        let b = self.nested(Self::ternary);
         match c {
             V::Int(n) => {
                 if n != 0 {
@@ -321,12 +343,12 @@ impl<'t> ExprParser<'t> {
 
     fn unary(&mut self) -> V {
         if self.eat_punct(Punct::Bang) {
-            let v = self.unary();
+            let v = self.nested(Self::unary);
             let c = self.cond_of(&v);
             return V::Bool(c.not());
         }
         if self.eat_punct(Punct::Minus) {
-            let v = self.unary();
+            let v = self.nested(Self::unary);
             return match v {
                 V::Int(n) => V::Int(n.wrapping_neg()),
                 other => {
@@ -336,10 +358,10 @@ impl<'t> ExprParser<'t> {
             };
         }
         if self.eat_punct(Punct::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         if self.eat_punct(Punct::Tilde) {
-            let v = self.unary();
+            let v = self.nested(Self::unary);
             return match v {
                 V::Int(n) => V::Int(!n),
                 other => {
@@ -353,7 +375,7 @@ impl<'t> ExprParser<'t> {
 
     fn primary(&mut self) -> V {
         if self.eat_punct(Punct::LParen) {
-            let v = self.ternary();
+            let v = self.nested(Self::ternary);
             if !self.eat_punct(Punct::RParen) {
                 return self.fail("expected ')'");
             }
@@ -705,6 +727,7 @@ impl<F: FileSystem> Preprocessor<F> {
             let mut p = ExprParser {
                 toks: &toks,
                 i: 0,
+                depth: 0,
                 defined: &defined,
                 ctx: self.ctx.clone(),
                 nonbool: false,

@@ -166,13 +166,16 @@ pub struct ParserConfig {
     /// Abort when live subparsers exceed this (0 = unlimited). The paper
     /// uses 16,000 for the MAPR comparison.
     pub kill_switch: usize,
-    /// Deterministic fast path: when exactly one subparser with one head
-    /// is live, step it in a tight LALR loop on a scratch stack — no
-    /// priority queue, no merge probes — persisting back to the shared
-    /// persistent stack only when the stretch ends at a conditional,
-    /// typedef split, fork, or error. Output (ASTs, conditions,
-    /// diagnostics, every determinism-surface counter) is byte-identical
-    /// either way; only `merge_probes` and the `fastpath_*` gauges differ.
+    /// Deterministic fast path: step a pulled single-headed subparser in
+    /// a tight LALR loop on a scratch stack — no priority queue, no merge
+    /// probes — while its head stays strictly before every queued head,
+    /// so it remains the queue minimum and nothing can merge with it.
+    /// The stretch persists back to the shared persistent stack when it
+    /// reaches a conditional, typedef split, or a queued head; each step
+    /// replays the main loop's counters and budget checks. Output (ASTs,
+    /// conditions, diagnostics, every determinism-surface counter) is
+    /// byte-identical either way; only `merge_probes` and the
+    /// `fastpath_*` gauges differ.
     pub fastpath: bool,
     /// Degrading resource budgets (all 0 = ungoverned). Orthogonal to the
     /// kill switch: budgets shed work and keep parsing, the kill switch
@@ -362,6 +365,13 @@ struct MergeKey {
     depth: u32,
 }
 
+/// Ends a merge-index chain.
+const NO_SLOT: usize = usize::MAX;
+
+/// Merge candidates probed per insert: recent candidates are the likely
+/// partners, and unbounded scans are quadratic in MAPR's blow-up regime.
+const MERGE_PROBE_WINDOW: usize = 16;
+
 /// A Fork-Merge LR parser over a grammar, with a context plug-in.
 ///
 /// # Examples
@@ -415,6 +425,7 @@ impl<'g, P: ContextPlugin> Parser<'g, P> {
             forest,
             cctx: cctx.clone(),
             slab: Vec::new(),
+            same_key: Vec::new(),
             heap: BinaryHeap::new(),
             index: FastMap::default(),
             live: 0,
@@ -430,6 +441,7 @@ impl<'g, P: ContextPlugin> Parser<'g, P> {
             follow_buf: Vec::new(),
             entries_buf: Vec::new(),
             fast_buf: Vec::new(),
+            rhs_buf: Vec::new(),
         }
         .run()
     }
@@ -440,8 +452,13 @@ struct Run<'a, 'g, P: ContextPlugin> {
     forest: &'a Forest,
     cctx: CondCtx,
     slab: Vec<Option<Sub<P::Ctx>>>,
+    /// The merge index's per-key chains, parallel to `slab`: the id
+    /// inserted before `id` under the same merge key, or [`NO_SLOT`].
+    same_key: Vec<usize>,
     heap: BinaryHeap<Reverse<(u32, u32, u64, usize)>>,
-    index: FastMap<MergeKey, Vec<usize>>,
+    /// The newest slab id inserted under each merge key; older ones are
+    /// reached through `same_key`.
+    index: FastMap<MergeKey, usize>,
     live: usize,
     seq: u64,
     accepted: Vec<(Cond, SemVal)>,
@@ -465,6 +482,8 @@ struct Run<'a, 'g, P: ContextPlugin> {
     entries_buf: Vec<FollowEntry>,
     /// The fast path's scratch stack, reused across stretches.
     fast_buf: Vec<FastFrame>,
+    /// A reduce's popped right-hand side, reused by every reduce.
+    rhs_buf: Vec<SemVal>,
 }
 
 fn state_of(stack: &Stack, grammar: &Grammar) -> u32 {
@@ -478,6 +497,21 @@ fn depth_of(stack: &Stack) -> u32 {
     match stack {
         Some(n) => n.depth,
         None => 0,
+    }
+}
+
+/// Whether a popped value belongs in the AST: layout leaves `Empty`.
+fn is_value(v: &SemVal) -> bool {
+    !matches!(v, SemVal::Empty)
+}
+
+/// Pops the top value of a persistent stack. A node this stack owns
+/// alone is unwrapped; one shared with another subparser's stack is
+/// copied.
+fn pop(stack: Stack) -> (SemVal, Stack) {
+    match Rc::try_unwrap(stack.expect("stack underflow on reduce")) {
+        Ok(node) => (node.value, node.prev),
+        Err(node) => (node.value.clone(), node.prev.clone()),
     }
 }
 
@@ -511,7 +545,7 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
             }
             if self.armed {
                 if let Some((kind, limit)) = self.tripped_budget() {
-                    self.kill_all(kind, limit, p);
+                    self.kill_all(kind, limit, p.cond());
                     break; // a global budget tripped; queue is empty
                 }
                 if self.budgets.max_live > 0 && self.live + 1 > self.budgets.max_live {
@@ -520,12 +554,13 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
             }
             if p.heads.len() > 1 {
                 self.step_multi(p);
-            } else if self.parser.config.fastpath && self.live == 0 {
-                // Single-subparser stretch: run the deterministic fast
-                // path. It hands `p` back untouched when the very first
-                // step is not fast (conditional head, typedef split) —
-                // this iteration is already counted, so the general
-                // engine performs it directly.
+            } else if self.parser.config.fastpath {
+                // `p` leads the queue: run the deterministic fast path
+                // until it would reach the next queued head. It hands
+                // `p` back untouched when the very first step is not
+                // fast (conditional head, typedef split) — this
+                // iteration is already counted, so the general engine
+                // performs it directly.
                 if let Some(p) = self.step_fast(p) {
                     self.step_single(p);
                 }
@@ -619,10 +654,10 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
         None
     }
 
-    /// Kills the current subparser and every queued one, recording one
-    /// coalesced trip covering all their configurations.
-    fn kill_all(&mut self, kind: BudgetKind, limit: u64, p: Sub<P::Ctx>) {
-        let mut cond = p.cond();
+    /// Kills the current subparser (presence condition `cond`) and every
+    /// queued one, recording one coalesced trip covering all their
+    /// configurations.
+    fn kill_all(&mut self, kind: BudgetKind, limit: u64, mut cond: Cond) {
         let mut killed = 1u64;
         for slot in &mut self.slab {
             if let Some(q) = slot.take() {
@@ -663,7 +698,9 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
             });
             killed += 1;
         }
-        self.live = entries.len() + 1; // queued survivors + the current one
+        // Like everywhere else, `live` counts the queued subparsers, not
+        // the current one.
+        self.live = entries.len();
         self.heap = entries.into_iter().map(Reverse).collect();
         self.record_trip(
             BudgetKind::Subparsers,
@@ -733,27 +770,25 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
 
     fn insert(&mut self, p: Sub<P::Ctx>) {
         let key = self.merge_key(&p);
-        if let Some(cands) = self.index.get(&key) {
-            // Bound the scan: recent candidates are the likely partners,
-            // and unbounded scans are quadratic in MAPR's blow-up regime.
-            let mut recent = [0usize; 16];
-            let n = cands.len().min(16);
-            for (slot, &cid) in recent.iter_mut().zip(cands.iter().rev()) {
-                *slot = cid;
+        let newest = self.index.get(&key).copied().unwrap_or(NO_SLOT);
+        // Probe the most recent candidates, newest first.
+        let mut cid = newest;
+        for _ in 0..MERGE_PROBE_WINDOW {
+            if cid == NO_SLOT {
+                break;
             }
-            for &cid in &recent[..n] {
-                self.stats.merge_probes += 1;
-                if self.slab.get(cid).map(|s| s.is_some()) == Some(true) && self.try_merge(cid, &p)
-                {
-                    self.stats.merges += 1;
-                    return;
-                }
+            self.stats.merge_probes += 1;
+            if self.slab[cid].is_some() && self.try_merge(cid, &p) {
+                self.stats.merges += 1;
+                return;
             }
+            cid = self.same_key[cid];
         }
         let (pos, rank, seq) = self.priority(&p);
         let id = self.slab.len();
         self.slab.push(Some(p));
-        self.index.entry(key).or_default().push(id);
+        self.same_key.push(newest);
+        self.index.insert(key, id);
         self.heap.push(Reverse((pos, rank, seq, id)));
         self.live += 1;
     }
@@ -1254,11 +1289,22 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
         })
     }
 
-    /// The deterministic fast path: with no other live subparser and no
-    /// pending conditional at the head, steps `p` in a tight LALR loop —
-    /// no priority queue, no merge probes — on a scratch stack that is
-    /// persisted back into the shared `Rc` chain only when the stretch
-    /// ends.
+    /// The deterministic fast path: steps the single-headed `p`, which
+    /// the main loop just pulled as the queue minimum, in a tight LALR
+    /// loop — no priority queue, no merge probes — on a scratch stack
+    /// that is persisted back into the shared `Rc` chain only when the
+    /// stretch ends: at a conditional, a typedef split, or the first step
+    /// whose head position reaches the *bound*, the position of the
+    /// queue's minimum (no bound when nothing is queued).
+    ///
+    /// Why skipping the queue is sound: heads only move forward in
+    /// document order, and every queued head sits at or after the bound.
+    /// While the stretch stays strictly before it, `p` is the unique
+    /// queue minimum — the general engine would pull it again — and no
+    /// queued subparser can share its merge key, which includes the head
+    /// node. The skipped inserts would only have added index entries at
+    /// nodes no live subparser reaches again, so the probe window of
+    /// every later insert is unchanged.
     ///
     /// Returns `Some(p)` when even the first step is not fast: the caller
     /// dispatches it to the general engine (that iteration was already
@@ -1268,16 +1314,20 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
     ///
     /// Counter parity with the general engine: the main loop counted the
     /// first step before calling in, so each *subsequent* committed step
-    /// replays `observe_live(1)` plus the global budget check, in the
-    /// same order. A step whose peek declines is re-pulled (and then
-    /// counted) by the main loop. With one subparser the kill switch and
-    /// the live ceiling cannot fire, and during the stretch the merge
-    /// index holds no live candidate, so skipping `insert` changes
-    /// `merge_probes` only — every determinism-surface counter matches.
+    /// replays `observe_live(live + 1)` plus the global budget check, in
+    /// the same order; a trip kills the queue through [`Run::kill_all`]
+    /// just as the main loop would. `live` is constant over a stretch, so
+    /// the kill-switch and live-ceiling checks the main loop made for the
+    /// first step hold for every later one. A step whose peek declines is
+    /// re-pulled (and then counted) by the main loop. Skipping `insert`
+    /// changes `merge_probes` only — every determinism-surface counter
+    /// matches.
     fn step_fast(&mut self, p: Sub<P::Ctx>) -> Option<Sub<P::Ctx>> {
         let g = self.parser.grammar;
         let forest = self.forest;
-        debug_assert!(self.live == 0 && p.heads.len() == 1);
+        debug_assert!(p.heads.len() == 1);
+        // Read after any shed; nothing is queued during the stretch.
+        let bound = self.heap.peek().map(|&Reverse((pos, ..))| pos);
         let mut state = state_of(&p.stack, g);
         let Some(first_step) = self.fast_resolve(&p.ctx, p.heads[0].node, &p.heads[0].cond, state)
         else {
@@ -1297,19 +1347,17 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
         let mut scratch = std::mem::take(&mut self.fast_buf);
         debug_assert!(scratch.is_empty());
         let mut first = true;
-        // Runs until a peek declines; breaks with the head terminal the
-        // general engine would carry (EOF after a shift, the resolved
+        // Runs until the head reaches the bound or a peek declines;
+        // breaks with the head terminal the general engine would carry (EOF after a shift, the resolved
         // lookahead after a reduce) — it participates in the merge key.
         let exit_term = loop {
             if !first {
                 // The main loop counted the first step; replay its
                 // accounting for each further committed step.
-                self.stats.observe_live(1);
+                self.stats.observe_live(self.live + 1);
                 if self.armed {
                     if let Some((kind, limit)) = self.tripped_budget() {
-                        // `kill_all` over an empty queue: the lone
-                        // subparser dies and the parse winds down.
-                        self.record_trip(kind, limit, cond.clone(), 1);
+                        self.kill_all(kind, limit, cond.clone());
                         scratch.clear();
                         self.fast_buf = scratch;
                         return None;
@@ -1337,19 +1385,18 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
                 Action::Reduce(pr) => {
                     self.stats.reduces += 1;
                     let n = g.rhs_len(pr) as usize;
-                    let mut values: Vec<SemVal> = Vec::with_capacity(n);
+                    let mut rhs = std::mem::take(&mut self.rhs_buf);
                     let from_scratch = n.min(scratch.len());
                     for _ in 0..from_scratch {
-                        values.push(scratch.pop().expect("counted").value);
+                        rhs.push(scratch.pop().expect("counted").value);
                     }
                     for _ in from_scratch..n {
-                        let sn = base.expect("stack underflow on reduce");
-                        values.push(sn.value.clone());
-                        base = sn.prev.clone();
+                        let (value, prev) = pop(base);
+                        rhs.push(value);
+                        base = prev;
                     }
-                    values.reverse();
-                    let value = self.build_reduce_value(pr, values);
-                    self.parser.plugin.on_reduce(&mut ctx, pr, &value, &cond);
+                    let value = self.reduce_value(pr, &mut rhs, &cond, &mut ctx);
+                    self.rhs_buf = rhs;
                     let below = scratch
                         .last()
                         .map_or_else(|| state_of(&base, g), |f| f.state);
@@ -1405,6 +1452,9 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
             // Peek the next step *before* committing to it: a stretch-
             // ending step belongs to the general loop, which re-pulls
             // and re-counts it.
+            if bound.is_some_and(|b| forest.position(node) >= b) {
+                break cur_term;
+            }
             match self.fast_resolve(&ctx, node, &cond, state) {
                 Some(next) => step = next,
                 None => break cur_term,
@@ -1536,17 +1586,15 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
         ctx: &mut P::Ctx,
     ) -> (Stack, bool) {
         let g = self.parser.grammar;
-        let n = g.rhs_len(prod) as usize;
-        let mut values: Vec<SemVal> = Vec::with_capacity(n);
+        let mut rhs = std::mem::take(&mut self.rhs_buf);
         let mut stack = stack;
-        for _ in 0..n {
-            let node = stack.expect("stack underflow on reduce");
-            values.push(node.value.clone());
-            stack = node.prev.clone();
+        for _ in 0..g.rhs_len(prod) {
+            let (value, prev) = pop(stack);
+            rhs.push(value);
+            stack = prev;
         }
-        values.reverse();
-        let value = self.build_reduce_value(prod, values);
-        self.parser.plugin.on_reduce(ctx, prod, &value, cond);
+        let value = self.reduce_value(prod, &mut rhs, cond, ctx);
+        self.rhs_buf = rhs;
         let state = state_of(&stack, g);
         let lhs = g.production(prod).lhs;
         let Some(next) = g.goto(state, lhs) else {
@@ -1562,26 +1610,42 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
         (stack, true)
     }
 
-    /// Builds the semantic value of a reduce from the popped right-hand
-    /// side, per the production's AST annotation. Shared by the general
-    /// reduce ([`Run::do_reduce`]) and the fast path, which must produce
-    /// bit-identical values.
-    fn build_reduce_value(&self, prod: u32, values: Vec<SemVal>) -> SemVal {
+    /// Builds a reduce's semantic value from its right-hand side, popped
+    /// top first into `rhs` (left empty for reuse), and notifies the
+    /// plug-in. Shared by the general reduce ([`Run::do_reduce`]) and the
+    /// fast path, which must produce bit-identical values.
+    fn reduce_value(
+        &mut self,
+        prod: u32,
+        rhs: &mut Vec<SemVal>,
+        cond: &Cond,
+        ctx: &mut P::Ctx,
+    ) -> SemVal {
+        rhs.reverse();
+        let value = self.build_reduce_value(prod, rhs);
+        self.parser.plugin.on_reduce(ctx, prod, &value, cond);
+        value
+    }
+
+    /// The value of a reduce per the production's AST annotation, built
+    /// from its right-hand side in `values` (drained).
+    fn build_reduce_value(&self, prod: u32, values: &mut Vec<SemVal>) -> SemVal {
         let p = self.parser.grammar.production(prod);
         match p.ast {
-            AstBuild::Layout => SemVal::Empty,
+            AstBuild::Layout => {
+                values.clear();
+                SemVal::Empty
+            }
             AstBuild::Passthrough => {
-                let count = values
-                    .iter()
-                    .filter(|v| !matches!(v, SemVal::Empty))
-                    .count();
-                if count == 1 {
-                    values
-                        .into_iter()
-                        .find(|v| !matches!(v, SemVal::Empty))
-                        .expect("one non-empty value")
-                } else {
-                    self.mk_node(prod, values, false)
+                let mut present = values.iter().enumerate().filter(|(_, v)| is_value(v));
+                match (present.next(), present.next()) {
+                    (Some((i, _)), None) => {
+                        // The one value moves through.
+                        let value = values.swap_remove(i);
+                        values.clear();
+                        value
+                    }
+                    _ => self.mk_node(prod, values, false),
                 }
             }
             AstBuild::List => {
@@ -1591,15 +1655,15 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
                     .map(|n| n.sym == p.lhs && n.list)
                     == Some(true);
                 if first_is_same_list {
-                    let mut it = values.into_iter();
-                    let head = it.next().expect("nonempty");
-                    let SemVal::Node(rc) = head else {
+                    let mut it = values.drain(..);
+                    let Some(SemVal::Node(mut list)) = it.next() else {
                         unreachable!("checked node")
                     };
-                    let mut node = (*rc).clone();
-                    node.children
-                        .extend(it.filter(|v| !matches!(v, SemVal::Empty)));
-                    SemVal::Node(Rc::new(node))
+                    // Appends in place when this reduce holds the only
+                    // reference; a list still shared (with a forked
+                    // subparser's stack, a choice node) is copied first.
+                    Rc::make_mut(&mut list).children.extend(it.filter(is_value));
+                    SemVal::Node(list)
                 } else {
                     self.mk_node(prod, values, true)
                 }
@@ -1608,12 +1672,11 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
         }
     }
 
-    fn mk_node(&self, prod: u32, values: Vec<SemVal>, list: bool) -> SemVal {
+    fn mk_node(&self, prod: u32, values: &mut Vec<SemVal>, list: bool) -> SemVal {
         let g = self.parser.grammar;
-        let children = values
-            .into_iter()
-            .filter(|v| !matches!(v, SemVal::Empty))
-            .collect();
+        // Sized exactly: most nodes keep one to three children for life.
+        let mut children = Vec::with_capacity(values.iter().filter(|v| is_value(v)).count());
+        children.extend(values.drain(..).filter(is_value));
         SemVal::Node(Rc::new(AstNode {
             prod,
             sym: g.production(prod).lhs,

@@ -44,11 +44,15 @@ pub struct ParseStats {
     /// never what it produces.
     pub fastpath_tokens: u64,
     /// Times the engine entered the deterministic fast path (committed at
-    /// least one step there). Excluded from determinism comparisons.
+    /// least one step there). Entry needs only a single-headed subparser
+    /// at the front of the queue; others may be queued behind it.
+    /// Excluded from determinism comparisons.
     pub fastpath_entries: u64,
     /// Times the fast path persisted its scratch stack and re-entered the
-    /// general FMLR queue (a conditional, typedef split, or fork ended the
-    /// stretch). Entries that terminate inside the fast path — accept,
+    /// general FMLR queue: a conditional or typedef split ended the
+    /// stretch, or its head reached the position of the queue minimum.
+    /// Two subparsers sharing a head exit after every step until they
+    /// merge. Entries that terminate inside the fast path — accept,
     /// error, budget kill — do not count an exit. Excluded from
     /// determinism comparisons.
     pub fastpath_exits: u64,

@@ -14,11 +14,12 @@ if [[ "${1:-}" == "--workspace" ]]; then
     cargo test --workspace -q
 else
     cargo test -q
-    # The table generator's own cases live only in these crates:
-    # LALR-not-SLR, ε-productions, conflicts, precedence, the C grammar's
-    # known conflicts, and the differential against the reference
-    # lookahead pass.
-    cargo test -q -p superc-grammar -p superc-csyntax
+    # Crate-local cases the root package does not run: the table
+    # generator's (LALR-not-SLR, ε-productions, conflicts, precedence,
+    # the C grammar's known conflicts, and the differential against the
+    # reference lookahead pass) and the FMLR engine's (Figure 6 and the
+    # MAPR kill switch, the stack-metadata property).
+    cargo test -q -p superc-grammar -p superc-csyntax -p superc-fmlr
 fi
 # Re-run the parallel determinism suite with a wider, oversubscribed jobs
 # ladder than the default 1,2,8 — cheap extra scheduling coverage.

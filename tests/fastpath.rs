@@ -1,10 +1,12 @@
 //! Differential oracle for the deterministic fast path.
 //!
 //! The fast path (`ParserConfig::fastpath` + `PpOptions::fuse_lexing`,
-//! `--no-fastpath` on the CLI) is a pure scheduling change: when exactly
-//! one subparser is live, the engine steps it on a scratch stack with no
-//! priority queue and no merge probes, and conditional-free text runs
-//! stream past the expansion queue. This suite is the proof obligation:
+//! `--no-fastpath` on the CLI) is a pure scheduling change: while the
+//! subparser the engine pulled leads the queue — its head strictly
+//! before every queued head — the engine steps it on a scratch stack
+//! with no priority queue and no merge probes, and conditional-free text
+//! runs stream past the expansion queue. This suite is the proof
+//! obligation:
 //! every fixture corpus — the lint fixtures, the pathological
 //! robustness fixtures under tight budgets, and the 128-unit kernelgen
 //! corpus — runs through the full {fastpath on/off} × {jobs 1/2/8} ×
@@ -28,12 +30,14 @@
 //! renderer.
 //!
 //! Unit tests at the bottom pin the `fastpath_entries`/`fastpath_exits`
-//! transitions at the three stretch-ending events: static conditionals,
-//! ambiguous typedef reclassification, and budget trips.
+//! transitions at the four stretch-ending events: static conditionals,
+//! reaching the head of a queued subparser, ambiguous typedef
+//! reclassification, and budget trips — including a trip inside a
+//! stretch that runs while another subparser is queued.
 
 use superc::analyze::LintOptions;
 use superc::corpus::{process_corpus, Capture, CorpusOptions, CorpusReport};
-use superc::{Budgets, DiskFs, MemFs, Options, PpOptions, Profile, SuperC};
+use superc::{BudgetKind, Budgets, DiskFs, MemFs, Options, PpOptions, Profile, SuperC};
 use superc_kernelgen::{generate, CorpusSpec};
 
 /// Baseline options with the fast path (parser + fused lexing) switched
@@ -71,8 +75,9 @@ fn countable_pp(pp: &superc::PpStats) -> superc::PpStats {
 
 /// Parser counters minus the fastpath gauges and `merge_probes` — the
 /// fast path skips the per-step merge-index probe (that *is* the
-/// optimization), and with a single live subparser no live merge
-/// candidate can exist, so skipping the probe can never change merges.
+/// optimization), and while the stepped subparser's head is strictly
+/// before every queued head no queued subparser shares its merge key,
+/// so skipping the probe can never change merges.
 fn countable_parse(p: &superc::ParseStats) -> superc::ParseStats {
     let mut p = p.clone();
     p.merge_probes = 0;
@@ -360,11 +365,15 @@ int after;\n";
         s.max_subparsers > 1 && s.merges > 0,
         "conditional must split and re-merge subparsers: {s:?}"
     );
-    // Stretch 1 ends at the conditional (one exit, scratch stack
-    // persisted); the forked region runs in the general engine; after
-    // the merge a second stretch carries the parse to the accept.
-    assert_eq!(s.fastpath_entries, 2, "{s:?}");
-    assert_eq!(s.fastpath_exits, 1, "{s:?}");
+    // Six stretches, five exits:
+    // 1. `int before;` ends at the conditional (scratch stack persisted).
+    // 2. After the fork, `inside ;` runs while the !CONFIG_X subparser
+    //    is queued at `int after`, and stops on reaching that head.
+    // 3–5. Both subparsers now share that head, so each reduce that
+    //    brings them to a common state is a one-step stretch.
+    // 6. After the merge, one stretch carries the parse to the accept.
+    assert_eq!(s.fastpath_entries, 6, "{s:?}");
+    assert_eq!(s.fastpath_exits, 5, "{s:?}");
     // Both engines produce the same AST and acceptance.
     let q = process_one(src, false, Budgets::unlimited());
     assert_eq!(q.result.stats.fastpath_entries, 0);
@@ -444,6 +453,45 @@ fn budget_trip_inside_a_stretch_degrades_identically() {
             "trip rendering drifted"
         );
     }
+}
+
+#[test]
+fn budget_trip_in_a_stretch_with_a_queued_subparser_kills_it_too() {
+    // The CONFIG_X subparser runs the long branch in the fast path while
+    // the !CONFIG_X subparser waits at `int tail`. The step budget trips
+    // inside that stretch: the fast path must kill the queued subparser
+    // too, exactly as the main loop does.
+    let src = {
+        let mut s = String::from("int head;\n#ifdef CONFIG_X\n");
+        for i in 0..100 {
+            s.push_str(&format!("int x{i} = {i};\n"));
+        }
+        s.push_str("#endif\nint tail;\n");
+        s
+    };
+    let budgets = Budgets {
+        max_steps: 200,
+        ..Budgets::unlimited()
+    };
+    let p = process_one(&src, true, budgets);
+    let q = process_one(&src, false, budgets);
+    let (s, t) = (&p.result.stats, &q.result.stats);
+    // Stretch 1 (`int head;`) exits at the conditional; stretch 2, the
+    // branch, is entered and never exits: the trip ends it.
+    assert_eq!(s.fastpath_entries, 2, "{s:?}");
+    assert_eq!(s.fastpath_exits, 1, "{s:?}");
+    assert!(s.fastpath_tokens > 3, "the branch never ran fast: {s:?}");
+    assert_eq!(countable_parse(s), countable_parse(t), "trip drifted");
+    for r in [&p.result, &q.result] {
+        assert_eq!(r.trips.len(), 1, "{:?}", r.trips);
+        assert_eq!(r.trips[0].kind, BudgetKind::Steps);
+        assert_eq!(r.trips[0].killed, 2, "the queued subparser survived");
+    }
+    assert_eq!(
+        superc::corpus::render_trip(&p.result.trips[0]),
+        superc::corpus::render_trip(&q.result.trips[0]),
+        "trip rendering drifted"
+    );
 }
 
 #[test]

@@ -270,3 +270,28 @@ fn generous_budgets_are_behavior_identical_to_ungoverned() {
     assert_eq!(gov_counters, raw_counters);
     assert!(gov_sigs.iter().all(|s| s.contains("partial=false")));
 }
+
+#[test]
+fn shedding_keeps_the_live_count_exact() {
+    // After a shed, `live` must count exactly the queued survivors: one
+    // too many over-reports every later iteration and sheds early.
+    let options = Options {
+        parser: ParserConfig::mapr(),
+        budgets: Budgets {
+            max_subparsers: 4,
+            ..Budgets::unlimited()
+        },
+        ..Options::default()
+    };
+    let mut tool = SuperC::new(options, fixture_fs());
+    let p = tool.process("bomb.c").expect("bomb.c degrades, not fails");
+    let s = &p.result.stats;
+    let mode = (0..s.subparser_hist.len())
+        .max_by_key(|&n| s.subparser_hist[n])
+        .expect("iterations ran");
+    // The ceiling is 4: an iteration sees at most one more before the
+    // shed, and most iterations run at the ceiling.
+    assert_eq!(s.max_subparsers, 5, "{s:?}");
+    assert_eq!(mode, 4, "{s:?}");
+    assert_eq!((s.budget_trips, s.budget_killed), (88, 88), "{s:?}");
+}
