@@ -538,16 +538,22 @@ pub struct BddStats {
     pub cache_misses: u64,
 }
 
+// Every BDD counter depends on the order a worker's manager met each
+// variable and condition, so all of them are schedule gauges.
+superc_util::counters!(BddStats in "bdd" {
+    nodes: Schedule Sum,
+    variables: Schedule Sum,
+    apply_calls: Schedule Sum,
+    cache_hits: Schedule Sum,
+    cache_misses: Schedule Sum,
+});
+
 impl BddStats {
     /// Accumulates another manager's counters (corpus-level reporting over
     /// per-worker managers). Gauges (`nodes`, `variables`) are summed too:
     /// the aggregate reads as total allocation across workers.
     pub fn merge(&mut self, other: &BddStats) {
-        self.nodes += other.nodes;
-        self.variables += other.variables;
-        self.apply_calls += other.apply_calls;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
+        superc_util::counters::merge(self, other);
     }
 
     /// Apply-cache hit rate in `[0, 1]` (0 when no lookups happened).

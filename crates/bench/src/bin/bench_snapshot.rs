@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use superc::analyze::LintOptions;
 use superc::bdd::BddStats;
+use superc::counters::{project, Class};
 use superc::report::TextTable;
 use superc::{
     Budgets, CondBackend, CorpusOptions, CorpusReport, CorpusRunner, MemFs, Options, ParseStats,
@@ -71,6 +72,17 @@ impl Snapshot {
         } else {
             0.0
         }
+    }
+
+    /// The work two runs of the same corpus must agree on: the unit
+    /// count and the counters of the `keep` classes — output tokens,
+    /// bytes and peak live subparsers among them.
+    fn work(&self, keep: &[Class]) -> (usize, PpStats, ParseStats) {
+        (
+            self.units,
+            project(&self.pp, keep),
+            project(&self.parse, keep),
+        )
     }
 
     /// Shared-cache hit rate over L2 probes (0 when the cache was off or
@@ -509,60 +521,6 @@ fn measure_daemon(corpus: &Corpus, reps: usize, jobs: usize) -> (Snapshot, Snaps
     )
 }
 
-/// The determinism gate: a parallel run must do *exactly* the same
-/// parsing work as the sequential run — identical tokens and behavior
-/// counters for any worker count. Only gauges tied to worker-local
-/// managers (BDD nodes, interner sizes) and wall clock may differ.
-fn assert_behavior_identical(seq: &Snapshot, par: &Snapshot) {
-    assert_eq!(seq.units, par.units, "{}: unit count drifted", par.name);
-    assert_eq!(
-        seq.tokens, par.tokens,
-        "{}: output tokens drifted",
-        par.name
-    );
-    assert_eq!(seq.bytes, par.bytes, "{}: bytes drifted", par.name);
-    assert_eq!(
-        seq.peak_live, par.peak_live,
-        "{}: peak live subparsers drifted",
-        par.name
-    );
-    assert_eq!(
-        seq.parse, par.parse,
-        "{}: parser behavior counters drifted between jobs=1 and jobs={}",
-        par.name, par.jobs
-    );
-}
-
-/// The fastpath-on/off determinism gate: identical output and behavior
-/// counters, except the gauges that *define* the difference between the
-/// two modes — `merge_probes` (the general loop probes the merge index
-/// on every step; the fast path never does) and the `fastpath_*` gauges
-/// (zero with the fast path off). Everything else must match exactly.
-fn assert_behavior_identical_modulo_fastpath(on: &Snapshot, off: &Snapshot) {
-    let normalize = |s: &Snapshot| {
-        let mut p = s.parse.clone();
-        p.merge_probes = 0;
-        p.fastpath_tokens = 0;
-        p.fastpath_entries = 0;
-        p.fastpath_exits = 0;
-        p
-    };
-    assert_eq!(on.units, off.units, "{}: unit count drifted", on.name);
-    assert_eq!(on.tokens, off.tokens, "{}: output tokens drifted", on.name);
-    assert_eq!(on.bytes, off.bytes, "{}: bytes drifted", on.name);
-    assert_eq!(
-        on.peak_live, off.peak_live,
-        "{}: peak live subparsers drifted",
-        on.name
-    );
-    assert_eq!(
-        normalize(on),
-        normalize(off),
-        "{}: parser behavior counters drifted between fastpath on and off",
-        on.name
-    );
-}
-
 /// Minimal JSON encoding — flat structure, numeric leaves only, so no
 /// escaping machinery is needed.
 fn to_json(snaps: &[Snapshot], setup_millis: u64) -> String {
@@ -849,20 +807,31 @@ fn main() {
     }
     let headers_on = headers_on.expect("at least one rep");
     let headers_off = headers_off.expect("at least one rep");
-    assert_behavior_identical(&full_seq, &full_par);
-    assert_behavior_identical(&fig9_seq, &fig9_par);
-    assert_behavior_identical(&fig9_seq, &fig9_governed);
-    // Every ladder rung must do identical work: speedup may never come
-    // from doing less.
-    for rung in &kernel_snaps[1..] {
-        assert_behavior_identical(&kernel_snaps[0], rung);
+    // The determinism gate: a parallel, governed or cached run must do
+    // exactly the work of its partner — speedup may never come from
+    // doing less. Only schedule gauges and timings may differ, plus, for
+    // the fastpath on/off pair, the mode counters that define the fast
+    // path (merge probes, fastpath gauges, fused tokens).
+    let same_mode: &[Class] = &[Class::Behavior, Class::Mode];
+    let pairs = [
+        (&full_seq, &full_par, same_mode),
+        (&fig9_seq, &fig9_par, same_mode),
+        (&fig9_seq, &fig9_governed, same_mode),
+        (&headers_off, &headers_on, same_mode),
+        (&condfree_on, &condfree_off, &[Class::Behavior]),
+    ];
+    let rungs = kernel_snaps[1..]
+        .iter()
+        .map(|rung| (&kernel_snaps[0], rung, same_mode));
+    for (a, b, keep) in pairs.into_iter().chain(rungs) {
+        assert_eq!(
+            a.work(keep),
+            b.work(keep),
+            "{} drifted from {}",
+            b.name,
+            a.name
+        );
     }
-    // Cache on/off must also be behavior-identical: the cache changes who
-    // lexes a header, never what any unit sees.
-    assert_behavior_identical(&headers_off, &headers_on);
-    // Fastpath on/off must be behavior-identical modulo the gauges that
-    // define the difference (merge probes, fastpath counters).
-    assert_behavior_identical_modulo_fastpath(&condfree_on, &condfree_off);
     let mut snaps = vec![
         full_seq,
         fig9_seq,

@@ -191,14 +191,21 @@ pub struct CondStats {
     pub variables: usize,
 }
 
+// A `#if`-memo hit skips the feasibility checks its evaluation made, and
+// per-worker memo state depends on the schedule: every counter here is a
+// schedule gauge.
+superc_util::counters!(CondStats in "cond" {
+    feasibility_checks: Schedule Sum,
+    dpll_steps: Schedule Sum,
+    variables: Schedule Sum,
+});
+
 impl CondStats {
     /// Accumulates another context's counters (corpus-level reporting over
     /// per-worker contexts). `variables` sums across workers, so the
     /// aggregate counts interning work done, not distinct names.
     pub fn merge(&mut self, other: &CondStats) {
-        self.feasibility_checks += other.feasibility_checks;
-        self.dpll_steps += other.dpll_steps;
-        self.variables += other.variables;
+        superc_util::counters::merge(self, other);
     }
 }
 

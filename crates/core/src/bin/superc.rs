@@ -434,10 +434,8 @@ fn main() -> ExitCode {
                         s.invocations_hoisted,
                         p.timings.total()
                     );
-                    print!(
-                        "{}",
-                        superc::report::activity_table(ps, sc.ctx().bdd_stats().as_ref()).render()
-                    );
+                    let report = superc::CorpusReport::of_unit(&sc, file, &p);
+                    print!("{}", superc::report::corpus_table(&report).render());
                 }
                 if let Some(acc) = &p.result.accepted {
                     if !acc.is_true() {

@@ -87,12 +87,12 @@
 //! cached [`UnitReport`] without scheduling any preprocessing, parsing,
 //! or linting. Replayed reports are byte-identical to what a cold run
 //! over the same tree would produce (that is gated in `tests/warm.rs`,
-//! `bench_snapshot`, and verify.sh); only the schedule-dependent cache
-//! gauges differ, and those are excluded from every determinism
-//! surface. Units are **not** memoized when they tripped a resource
-//! budget, failed, or panicked, and the memo is disabled entirely
-//! without the shared cache (`no_shared_cache` pools instead drop
-//! worker L1 caches at each batch boundary to stay edit-correct).
+//! `bench_snapshot`, and verify.sh); only the `schedule` gauges and
+//! `memo_hit` differ, and [`UnitReport::view`] leaves both out. Units
+//! are **not** memoized when they tripped a resource budget, failed, or
+//! panicked, and the memo is disabled entirely without the shared cache
+//! (`no_shared_cache` pools instead drop worker L1 caches at each batch
+//! boundary to stay edit-correct).
 //!
 //! # Determinism
 //!
@@ -103,13 +103,23 @@
 //! input order after the join, and every merged counter is a sum or max
 //! (commutative + associative), so [`CorpusReport::units`] and the merged
 //! preprocessor/parser counters are **byte-identical for any worker
-//! count or schedule**. The documented exceptions are wall-clock fields
-//! (`PpStats::lex_nanos`, phase timings), condition *display strings*,
-//! and BDD/interner gauge totals — the latter two depend on the order a
-//! worker's manager first met each variable; determinism tests therefore
-//! compare configuration-restricted unparses and behavior counters, not
-//! rendered conditions. `tests/parallel.rs` proves this for
-//! `--jobs 1/2/8`.
+//! count or schedule**.
+//!
+//! Which counters may differ between two runs of the same input is
+//! declared once, with each counter's class, beside each stats struct
+//! (see [`superc_util::counters`]): `behavior` counters never differ;
+//! `mode` counters (`fused_tokens`, `merge_probes`, `fastpath_*`) differ
+//! only under `--no-fastpath`; `schedule` gauges (the cache, memo, BDD
+//! and condition-context counters) depend on which worker got somewhere
+//! first; `timing` counters are elapsed time. Condition *display
+//! strings* depend on the order a worker's manager first met each
+//! variable, so reports carry canonical renderings and
+//! configuration-restricted unparses instead. [`UnitReport::view`] is
+//! the one comparison view — counters projected onto the kept classes,
+//! timings and raw captures cleared — and [`CorpusReport::check_same`]
+//! compares two runs through it: every determinism matrix
+//! (`tests/parallel.rs` for `--jobs 1/2/8`, and the cache, warm and
+//! fast-path matrices) uses it.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -123,8 +133,9 @@ use superc_cond::{CondBackend, CondCtx, CondStats};
 use superc_cpp::{FileSystem, PpStats, Profile, Severity, SharedCache};
 use superc_csyntax::unparse_config;
 use superc_fmlr::{BudgetTrip, ParseOutcome, ParseStats};
+use superc_util::counters::{project, Class};
 
-use crate::{Options, SuperC};
+use crate::{Options, ProcessedUnit, SuperC};
 
 /// How many worker threads to use and what to capture per unit.
 #[derive(Clone, Debug, Default)]
@@ -223,7 +234,7 @@ pub fn render_trip(trip: &BudgetTrip) -> String {
 
 /// The outcome of one compilation unit, reduced to thread-portable data
 /// (the `Rc`-based AST and conditions stay inside the worker).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UnitReport {
     /// The unit's path, as given.
     pub path: String,
@@ -295,8 +306,8 @@ pub struct CorpusReport {
     /// End-to-end wall clock for the whole corpus.
     pub wall: Duration,
     /// Units replayed from the unit result memo (warm re-runs only).
-    /// Like the shared-cache gauges, this measures work *saved* and is
-    /// excluded from the determinism surfaces.
+    /// Like the shared-cache gauges, this measures work *saved*: a
+    /// `schedule` row of the `--stats` table.
     pub unit_memo_hits: u64,
     /// Units that consulted the memo and had to be recomputed (edited
     /// closure, options change, or first sight).
@@ -333,15 +344,6 @@ impl CorpusReport {
         self.units.iter().map(|u| u.lints.len()).sum()
     }
 
-    /// Lint findings at `deny` level across units.
-    pub fn lint_deny_count(&self) -> usize {
-        self.units
-            .iter()
-            .flat_map(|u| &u.lints)
-            .filter(|r| r.level == "deny")
-            .count()
-    }
-
     /// Corpus throughput in output tokens per wall-clock second.
     pub fn tokens_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -352,13 +354,77 @@ impl CorpusReport {
         }
     }
 
-    /// Canonical rendering of the schedule-independent behavior counters.
+    /// Compares this run with `other`, a run of the same input, unit by
+    /// unit through [`UnitReport::view`] with counters of the `keep`
+    /// classes. `Err` shows the first unit that differs. Runs that may
+    /// differ only in schedule (jobs, cache, warm replay) keep
+    /// `[Class::Behavior, Class::Mode]`; a fast-path on/off pair keeps
+    /// `[Class::Behavior]`. The merged counters and
+    /// [`behavior_counters`](Self::behavior_counters) are functions of
+    /// the units, so they agree whenever every unit does.
+    pub fn check_same(&self, other: &CorpusReport, keep: &[Class]) -> Result<(), String> {
+        if self.units.len() != other.units.len() {
+            return Err(format!(
+                "{} units vs {}",
+                self.units.len(),
+                other.units.len()
+            ));
+        }
+        for (a, b) in self.units.iter().zip(&other.units) {
+            let (a, b) = (a.view(keep), b.view(keep));
+            if a != b {
+                return Err(format!("{}:\n left: {a:#?}\nright: {b:#?}", a.path));
+            }
+        }
+        Ok(())
+    }
+
+    /// A one-unit report for a unit `tool` processed outside the corpus
+    /// driver, with the tool's condition-context gauges: the CLI's
+    /// single-file path renders it, so its `--stats` table is the one a
+    /// corpus run prints.
+    pub fn of_unit<F: FileSystem>(
+        tool: &SuperC<F>,
+        path: &str,
+        processed: &ProcessedUnit,
+    ) -> CorpusReport {
+        let unit = unit_report(tool, path, processed, &CorpusOptions::default());
+        CorpusReport {
+            cond: tool.ctx().stats(),
+            bdd: tool.ctx().bdd_stats(),
+            ..CorpusReport::new(vec![unit], 1, processed.timings.total())
+        }
+    }
+
+    /// A report over `units` with their counters merged and every gauge
+    /// outside them zero.
+    fn new(units: Vec<UnitReport>, workers: usize, wall: Duration) -> CorpusReport {
+        let mut pp = PpStats::default();
+        let mut parse = ParseStats::default();
+        for u in &units {
+            pp.merge(&u.pp);
+            parse.merge(&u.parse);
+        }
+        CorpusReport {
+            units,
+            pp,
+            parse,
+            cond: CondStats::default(),
+            bdd: None,
+            workers,
+            wall,
+            unit_memo_hits: 0,
+            unit_memo_misses: 0,
+            files_rehashed: 0,
+        }
+    }
+
+    /// Canonical rendering of a fixed subset of the `behavior` counters.
     ///
-    /// Two runs of the same corpus — any `jobs`, any interleaving — must
-    /// produce byte-identical strings; `bench_snapshot` and
-    /// `tests/parallel.rs` assert exactly that. Schedule-*dependent*
-    /// gauges (BDD nodes, interner sizes, wall clock) are deliberately
-    /// absent.
+    /// Two runs of the same corpus — any `jobs`, any interleaving, fast
+    /// path on or off — produce byte-identical strings, and
+    /// `tests/counters.rs` pins the exact bytes. Schedule gauges and
+    /// timings are deliberately absent.
     pub fn behavior_counters(&self) -> String {
         format!(
             "units={} parsed={} fatal={} partial={} failed={} \
@@ -606,24 +672,17 @@ impl Batch {
                     .take(n_units)
                     .map(|s| s.expect("every task claimed"))
                     .collect();
-                let mut pp = PpStats::default();
-                let mut parse = ParseStats::default();
-                for u in &units {
-                    pp.merge(&u.pp);
-                    parse.merge(&u.parse);
+                let run = CorpusReport::new(units, self.workers, wall);
+                if p > 0 {
+                    return run;
                 }
-                let row0 = p == 0;
                 CorpusReport {
-                    units,
-                    pp,
-                    parse,
-                    cond: if row0 { cond } else { CondStats::default() },
-                    bdd: if row0 { bdd } else { None },
-                    workers: self.workers,
-                    wall,
-                    unit_memo_hits: if row0 { memo_hits } else { 0 },
-                    unit_memo_misses: if row0 { memo_misses } else { 0 },
-                    files_rehashed: if row0 { files_rehashed } else { 0 },
+                    cond,
+                    bdd,
+                    unit_memo_hits: memo_hits,
+                    unit_memo_misses: memo_misses,
+                    files_rehashed,
+                    ..run
                 }
             })
             .collect();
@@ -1309,6 +1368,25 @@ impl UnitReport {
             memo_hit: false,
         }
     }
+
+    /// The part of this report two runs of the same unit must agree on:
+    /// counters outside the `keep` classes zeroed, and what no second
+    /// run reproduces cleared — phase timings, captured preprocessed and
+    /// AST text (raw condition display depends on the worker's variable
+    /// order) and `memo_hit`. Everything else is compared whole: errors,
+    /// diagnostics, degradations, lints, portability rows, the fatal
+    /// and failure rows, unparses and bytes.
+    pub fn view(&self, keep: &[Class]) -> UnitReport {
+        UnitReport {
+            pp: project(&self.pp, keep),
+            parse: project(&self.parse, keep),
+            phase_nanos: [0; 3],
+            preprocessed: None,
+            ast_text: None,
+            memo_hit: false,
+            ..self.clone()
+        }
+    }
 }
 
 fn process_one<F: FileSystem>(
@@ -1319,16 +1397,26 @@ fn process_one<F: FileSystem>(
     if copts.inject_panic.iter().any(|p| p == path) {
         panic!("injected panic for firewall testing: {path}");
     }
-    let processed = match tool.process(path) {
-        Ok(p) => p,
-        Err(e) => return UnitReport::failed(path, "preprocess", &e.to_string()),
-    };
+    match tool.process(path) {
+        Ok(processed) => unit_report(tool, path, &processed, copts),
+        Err(e) => UnitReport::failed(path, "preprocess", &e.to_string()),
+    }
+}
 
+/// The report of a unit `tool` just processed, with the captures,
+/// lints and portability slice `copts` asks for. Must run before the
+/// tool's next unit (see [`SuperC::lint`]).
+fn unit_report<F: FileSystem>(
+    tool: &SuperC<F>,
+    path: &str,
+    processed: &ProcessedUnit,
+    copts: &CorpusOptions,
+) -> UnitReport {
     // Lint immediately: the macro table is per-unit preprocessor state
     // and would be reset by this worker's next unit.
     let lints = match &copts.lint {
         Some(lopts) => tool
-            .lint(&processed, lopts)
+            .lint(processed, lopts)
             .iter()
             .map(|d| d.record())
             .collect(),
@@ -1337,7 +1425,7 @@ fn process_one<F: FileSystem>(
     // Same per-unit constraint applies to the portability slice (it
     // reads the macro table's definedness conditions).
     let portability = if copts.portability {
-        tool.portability_slice(&processed)
+        tool.portability_slice(processed)
     } else {
         Vec::new()
     };
@@ -1427,7 +1515,7 @@ fn process_one<F: FileSystem>(
             processed.timings.parsing.as_nanos() as u64,
         ],
         pp: processed.unit.stats,
-        parse: processed.result.stats,
+        parse: processed.result.stats.clone(),
         fatal: None,
         failure: None,
         preprocessed,

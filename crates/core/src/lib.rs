@@ -49,6 +49,7 @@ pub use superc_csyntax as csyntax;
 pub use superc_fmlr as fmlr;
 pub use superc_grammar as grammar;
 pub use superc_lexer as lexer;
+pub use superc_util::counters;
 
 pub use superc_cond::{Cond, CondBackend, CondCtx};
 pub use superc_cpp::{

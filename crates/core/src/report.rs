@@ -3,6 +3,10 @@
 
 use std::fmt::Write as _;
 
+use superc_util::counters::{self, Class, Counted};
+
+use crate::corpus::CorpusReport;
+
 /// A percentile summary in the paper's `50th · 90th · 100th` format.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Percentiles {
@@ -196,154 +200,87 @@ impl TextTable {
     }
 }
 
-/// Renders parser activity counters — and, when available, the BDD
-/// manager's cache counters — as a two-column table. This is the one
-/// place the hot-path instrumentation (merge-index probes, apply-cache
-/// hits/misses) is formatted, so every binary reports it uniformly.
-pub fn activity_table(
-    parse: &superc_fmlr::ParseStats,
-    bdd: Option<&superc_bdd::BddStats>,
-) -> TextTable {
-    let mut t = TextTable::new(&["counter", "value"]);
-    let mut r = |k: &str, v: String| {
-        t.row(&[k.to_string(), v]);
-    };
-    r("shifts", parse.shifts.to_string());
-    r("reduces", parse.reduces.to_string());
-    r("forks", parse.forks.to_string());
-    r("merges", parse.merges.to_string());
-    r("merge probes", parse.merge_probes.to_string());
-    r("choice nodes", parse.choice_nodes.to_string());
-    r("max subparsers", parse.max_subparsers.to_string());
-    // Fast-path gauges: scheduling detail like merge probes, shown only
-    // when the fast path actually ran so `--no-fastpath` tables are clean.
-    if parse.fastpath_entries > 0 {
-        r("fastpath tokens", parse.fastpath_tokens.to_string());
-        r("fastpath entries", parse.fastpath_entries.to_string());
-        r("fastpath exits", parse.fastpath_exits.to_string());
+/// Renders a corpus run as the `--stats` table: one row per counter,
+/// named `layer.name`, with its class and value. The report-level rows
+/// (`corpus.*`) come first, then every declared counter of the merged
+/// preprocessor, parser, condition-context and BDD stats. Behavior and
+/// mode rows always print, so two runs' tables compare row for row;
+/// schedule and timing rows print when nonzero, and each
+/// `_hits`/`_misses` pair adds its hit rate. A single-file run prints
+/// the same table over [`CorpusReport::of_unit`].
+pub fn corpus_table(report: &CorpusReport) -> TextTable {
+    use Class::{Behavior, Schedule, Timing};
+    let mut t = TextTable::new(&["counter", "class", "value"]);
+    // Fatal preprocessor errors are failure rows too; only panics are
+    // firewalled.
+    let firewalled = report
+        .units
+        .iter()
+        .filter(|u| u.failure.as_ref().is_some_and(|f| f.stage == "panic"))
+        .count();
+    let mut rows = vec![
+        ("units", Behavior, report.units.len().to_string()),
+        ("parsed", Behavior, report.parsed_units().to_string()),
+        ("fatal", Behavior, report.fatal_units().to_string()),
+        ("partial", Behavior, report.partial_units().to_string()),
+        ("firewalled", Behavior, firewalled.to_string()),
+        ("lints", Behavior, report.lint_count().to_string()),
+        ("workers", Schedule, report.workers.to_string()),
+        ("wall", Timing, format!("{:?}", report.wall)),
+        (
+            "tokens_per_sec",
+            Timing,
+            group_thousands(report.tokens_per_sec()),
+        ),
+    ];
+    let (hits, misses) = (report.unit_memo_hits, report.unit_memo_misses);
+    if hits + misses > 0 {
+        rows.push(("unit_memo_hits", Schedule, hits.to_string()));
+        rows.push(("unit_memo_misses", Schedule, misses.to_string()));
+        rows.push(("unit_memo_hit_rate", Schedule, hit_rate(hits, misses)));
     }
-    if let Some(b) = bdd {
-        r("bdd nodes", b.nodes.to_string());
-        r("bdd apply calls", b.apply_calls.to_string());
-        r("bdd cache hits", b.cache_hits.to_string());
-        r("bdd cache misses", b.cache_misses.to_string());
-        r("bdd cache hit rate", format!("{:.3}", b.cache_hit_rate()));
+    if report.files_rehashed > 0 {
+        let rehashed = report.files_rehashed.to_string();
+        rows.push(("files_rehashed", Schedule, rehashed));
+    }
+    for (name, class, value) in rows {
+        row(&mut t, "corpus", name, class, value);
+    }
+    counter_rows(&mut t, &report.pp);
+    counter_rows(&mut t, &report.parse);
+    counter_rows(&mut t, &report.cond);
+    if let Some(b) = &report.bdd {
+        counter_rows(&mut t, b);
     }
     t
 }
 
-/// Renders a corpus run — unit outcomes, throughput, merged activity —
-/// as a two-column table. Used by `superc --jobs N --stats` and the
-/// benchmark binaries so parallel runs report uniformly.
-pub fn corpus_table(report: &crate::corpus::CorpusReport) -> TextTable {
-    let mut t = TextTable::new(&["corpus", "value"]);
-    let mut r = |k: &str, v: String| {
-        t.row(&[k.to_string(), v]);
-    };
-    r("units", report.units.len().to_string());
-    r("parsed", report.parsed_units().to_string());
-    r("fatal", report.fatal_units().to_string());
-    // Degradation surfaces: only shown when something actually degraded,
-    // so the table stays stable for healthy corpora.
-    if report.partial_units() > 0 {
-        r("partial (budget)", report.partial_units().to_string());
-        r("budget trips", report.parse.budget_trips.to_string());
-        r("subparsers shed", report.parse.budget_killed.to_string());
+/// The rows of every declared counter of `stats` (see [`corpus_table`]).
+fn counter_rows<S: Counted>(t: &mut TextTable, stats: &S) {
+    for c in S::COUNTERS {
+        let v = (c.get)(stats);
+        if matches!(c.class, Class::Behavior | Class::Mode) || v > 0 {
+            row(t, S::LAYER, c.name, c.class, v.to_string());
+        }
+        let Some(stem) = c.name.strip_suffix("_misses") else {
+            continue;
+        };
+        if let Some(h) = counters::find::<S>(&format!("{stem}_hits")) {
+            let hits = (h.get)(stats);
+            if hits + v > 0 {
+                let name = format!("{stem}_hit_rate");
+                row(t, S::LAYER, &name, c.class, hit_rate(hits, v));
+            }
+        }
     }
-    if report.failed_units() > 0 {
-        r("failed (firewalled)", report.failed_units().to_string());
-    }
-    r("workers", report.workers.to_string());
-    r("wall", format!("{:?}", report.wall));
-    r(
-        "output tokens",
-        group_thousands(report.pp.output_tokens as f64),
-    );
-    r("tokens/sec", group_thousands(report.tokens_per_sec()));
-    if report.lint_count() > 0 {
-        r("lint diagnostics", report.lint_count().to_string());
-        r("lint denies", report.lint_deny_count().to_string());
-    }
-    // Shared-cache and memoization counters. Hits/misses depend on the
-    // worker schedule (who lexed a header first); they describe *work
-    // saved*, never output, so they sit apart from the behavior counters.
-    let probes = report.pp.shared_cache_hits + report.pp.shared_cache_misses;
-    if probes > 0 {
-        r("shared cache hits", report.pp.shared_cache_hits.to_string());
-        r(
-            "shared cache misses",
-            report.pp.shared_cache_misses.to_string(),
-        );
-        r(
-            "shared cache hit rate",
-            format!("{:.3}", report.pp.shared_cache_hits as f64 / probes as f64),
-        );
-        r(
-            "lex nanos saved",
-            group_thousands(report.pp.lex_nanos_saved as f64),
-        );
-    }
-    // Warm re-run gauges (pooled runners with `CorpusOptions::warm`):
-    // units replayed from the result memo vs recomputed, and files whose
-    // bytes were re-read and content-hashed this batch. Like the cache
-    // rows, these measure work saved and only appear when a memo was
-    // actually consulted.
-    let memo_probes = report.unit_memo_hits + report.unit_memo_misses;
-    if memo_probes > 0 {
-        r("unit memo hits", report.unit_memo_hits.to_string());
-        r("unit memo misses", report.unit_memo_misses.to_string());
-        r(
-            "unit memo hit rate",
-            format!("{:.3}", report.unit_memo_hits as f64 / memo_probes as f64),
-        );
-    }
-    if report.files_rehashed > 0 {
-        r("files rehashed", report.files_rehashed.to_string());
-    }
-    let cx_probes = report.pp.condexpr_memo_hits + report.pp.condexpr_memo_misses;
-    if cx_probes > 0 {
-        r(
-            "condexpr memo hits",
-            report.pp.condexpr_memo_hits.to_string(),
-        );
-        r(
-            "condexpr memo hit rate",
-            format!(
-                "{:.3}",
-                report.pp.condexpr_memo_hits as f64 / cx_probes as f64
-            ),
-        );
-    }
-    if report.pp.expansion_memo_hits > 0 {
-        r(
-            "expansion memo hits",
-            report.pp.expansion_memo_hits.to_string(),
-        );
-    }
-    // Fast-path gauges: deterministic for a given on/off setting but a
-    // scheduling detail, so — like the cache rows — they appear only when
-    // the fast path actually ran.
-    if report.parse.fastpath_entries > 0 || report.pp.fused_tokens > 0 {
-        r("fastpath tokens", report.parse.fastpath_tokens.to_string());
-        r(
-            "fastpath entries",
-            report.parse.fastpath_entries.to_string(),
-        );
-        r("fastpath exits", report.parse.fastpath_exits.to_string());
-        r("fused tokens", report.pp.fused_tokens.to_string());
-    }
-    r("forks", report.parse.forks.to_string());
-    r("merges", report.parse.merges.to_string());
-    r("choice nodes", report.parse.choice_nodes.to_string());
-    r(
-        "feasibility checks",
-        report.cond.feasibility_checks.to_string(),
-    );
-    if let Some(b) = &report.bdd {
-        r("bdd apply calls", b.apply_calls.to_string());
-        r("bdd cache hit rate", format!("{:.3}", b.cache_hit_rate()));
-    }
-    t
+}
+
+fn row(t: &mut TextTable, layer: &str, name: &str, class: Class, value: String) {
+    t.row(&[format!("{layer}.{name}"), class.name().to_string(), value]);
+}
+
+fn hit_rate(hits: u64, misses: u64) -> String {
+    format!("{:.3}", hits as f64 / (hits + misses) as f64)
 }
 
 #[cfg(test)]

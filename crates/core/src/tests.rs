@@ -211,8 +211,8 @@ mod corpus {
     fn corpus_table_renders() {
         let report = process_corpus(&fs(), &units(), &opts(), &CorpusOptions::default());
         let table = crate::report::corpus_table(&report).render();
-        assert!(table.contains("units"));
-        assert!(table.contains("tokens/sec"));
+        assert!(table.contains("corpus.units"));
+        assert!(table.contains("corpus.tokens_per_sec"));
     }
 }
 

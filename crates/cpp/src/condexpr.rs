@@ -512,7 +512,7 @@ impl<F: FileSystem> Preprocessor<F> {
         if let Some(key) = key {
             if let Some(e) = self.condexpr_memo.get(&key) {
                 let e = e.clone();
-                self.stats.apply_delta(&e.delta);
+                self.stats.merge(&e.delta);
                 self.stats.condexpr_memo_hits += 1;
                 return (e.cond, e.hoisted, e.nonbool);
             }
@@ -520,7 +520,7 @@ impl<F: FileSystem> Preprocessor<F> {
         let diags_before = self.diags.len();
         let stats_before = self.stats;
         let (cond, hoisted, nonbool) = self.eval_cond_expr_uncached(tokens, c, pos);
-        let delta = self.stats.delta_since(&stats_before);
+        let delta = superc_util::counters::delta(&self.stats, &stats_before);
         self.stats.condexpr_memo_misses += 1;
         // Evaluations that emitted diagnostics are not memoized: a hit
         // would have to replay position-tagged diagnostics too, and such

@@ -6,7 +6,8 @@
 //! includes, and conditional statistics. The benchmark harness aggregates
 //! them into 50·90·100 percentiles across compilation units.
 
-/// Counters gathered while preprocessing one compilation unit.
+/// Counters gathered while preprocessing one compilation unit. Each
+/// field's class and merge rule are declared once, after the struct.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PpStats {
     /// `#define` directives processed (including those in headers).
@@ -71,137 +72,72 @@ pub struct PpStats {
     pub lex_nanos: u64,
     /// Headers served from the process-wide shared artifact cache
     /// (another worker — or an earlier unit — already lexed them).
-    /// Schedule-dependent: excluded from determinism comparisons.
     pub shared_cache_hits: u64,
     /// Headers this worker lexed and published to the shared cache.
-    /// Schedule-dependent: excluded from determinism comparisons.
     pub shared_cache_misses: u64,
     /// Nanoseconds of lexing+structuring avoided by shared-cache hits
     /// (the original producer's cost, credited on each hit).
     pub lex_nanos_saved: u64,
     /// Conditional-expression evaluations served from the per-worker
-    /// memo. Schedule-dependent: excluded from determinism comparisons.
+    /// memo.
     pub condexpr_memo_hits: u64,
     /// Conditional-expression evaluations that ran in full and seeded
-    /// the memo. Schedule-dependent like the hits.
+    /// the memo.
     pub condexpr_memo_misses: u64,
     /// Object-like macro expansions served from the per-unit closed-body
     /// memo. The memo itself resets every compilation unit, but a
     /// condexpr-memo hit replays the *original* evaluation's expansion
     /// hits (whatever the memo's warmth was then), so this counter is
-    /// schedule-dependent too and excluded from determinism comparisons.
+    /// schedule-dependent too.
     pub expansion_memo_hits: u64,
     /// Tokens streamed straight from the lexer to the output by the fused
     /// fast path (inert tokens at the front of a conditional-free text
     /// run, bypassing the expansion queue). Deterministic for a given
-    /// `fuse_lexing` setting but zero with fusion off, so it is excluded
-    /// from fastpath-on/off determinism comparisons like the cache
-    /// counters.
+    /// `fuse_lexing` setting but zero with fusion off.
     pub fused_tokens: u64,
 }
+
+superc_util::counters!(PpStats in "cpp" {
+    macro_definitions: Behavior Sum,
+    redefinitions: Behavior Sum,
+    undefs: Behavior Sum,
+    macro_invocations: Behavior Sum,
+    invocations_trimmed: Behavior Sum,
+    invocations_hoisted: Behavior Sum,
+    nested_invocations: Behavior Sum,
+    builtin_invocations: Behavior Sum,
+    token_pastes: Behavior Sum,
+    token_pastes_hoisted: Behavior Sum,
+    stringifications: Behavior Sum,
+    stringifications_hoisted: Behavior Sum,
+    includes: Behavior Sum,
+    includes_hoisted: Behavior Sum,
+    computed_includes: Behavior Sum,
+    reincluded_headers: Behavior Sum,
+    conditionals: Behavior Sum,
+    conditionals_hoisted: Behavior Sum,
+    max_depth: Behavior Max,
+    non_boolean_exprs: Behavior Sum,
+    error_directives: Behavior Sum,
+    warning_directives: Behavior Sum,
+    trimmed_entries: Behavior Sum,
+    output_tokens: Behavior Sum,
+    output_conditionals: Behavior Sum,
+    files_processed: Behavior Sum,
+    bytes_processed: Behavior Sum,
+    lex_nanos: Timing Sum,
+    shared_cache_hits: Schedule Sum,
+    shared_cache_misses: Schedule Sum,
+    lex_nanos_saved: Timing Sum,
+    condexpr_memo_hits: Schedule Sum,
+    condexpr_memo_misses: Schedule Sum,
+    expansion_memo_hits: Schedule Sum,
+    fused_tokens: Mode Sum,
+});
 
 impl PpStats {
     /// Adds another unit's counters into this one (for corpus totals).
     pub fn merge(&mut self, other: &PpStats) {
-        macro_rules! add {
-            ($($f:ident),+ $(,)?) => { $( self.$f += other.$f; )+ };
-        }
-        add!(
-            macro_definitions,
-            redefinitions,
-            undefs,
-            macro_invocations,
-            invocations_trimmed,
-            invocations_hoisted,
-            nested_invocations,
-            builtin_invocations,
-            token_pastes,
-            token_pastes_hoisted,
-            stringifications,
-            stringifications_hoisted,
-            includes,
-            includes_hoisted,
-            computed_includes,
-            reincluded_headers,
-            conditionals,
-            conditionals_hoisted,
-            non_boolean_exprs,
-            error_directives,
-            warning_directives,
-            trimmed_entries,
-            output_tokens,
-            output_conditionals,
-            files_processed,
-            bytes_processed,
-            lex_nanos,
-            shared_cache_hits,
-            shared_cache_misses,
-            lex_nanos_saved,
-            condexpr_memo_hits,
-            condexpr_memo_misses,
-            expansion_memo_hits,
-            fused_tokens,
-        );
-        self.max_depth = self.max_depth.max(other.max_depth);
-    }
-
-    /// Field-wise saturating difference `self - earlier`, used by the
-    /// conditional-expression memo to capture the counter mutations one
-    /// evaluation performed so a later memo hit can replay them exactly.
-    /// `max_depth` carries the later snapshot's value (it is a running
-    /// maximum, not a sum; the replay site restores it with `max`).
-    pub fn delta_since(&self, earlier: &PpStats) -> PpStats {
-        macro_rules! sub {
-            ($($f:ident),+ $(,)?) => {
-                PpStats {
-                    $( $f: self.$f.saturating_sub(earlier.$f), )+
-                    max_depth: self.max_depth,
-                }
-            };
-        }
-        sub!(
-            macro_definitions,
-            redefinitions,
-            undefs,
-            macro_invocations,
-            invocations_trimmed,
-            invocations_hoisted,
-            nested_invocations,
-            builtin_invocations,
-            token_pastes,
-            token_pastes_hoisted,
-            stringifications,
-            stringifications_hoisted,
-            includes,
-            includes_hoisted,
-            computed_includes,
-            reincluded_headers,
-            conditionals,
-            conditionals_hoisted,
-            non_boolean_exprs,
-            error_directives,
-            warning_directives,
-            trimmed_entries,
-            output_tokens,
-            output_conditionals,
-            files_processed,
-            bytes_processed,
-            lex_nanos,
-            shared_cache_hits,
-            shared_cache_misses,
-            lex_nanos_saved,
-            condexpr_memo_hits,
-            condexpr_memo_misses,
-            expansion_memo_hits,
-            fused_tokens,
-        )
-    }
-
-    /// Replays a delta captured with [`delta_since`](Self::delta_since).
-    /// [`merge`](Self::merge) already has replay semantics — additive
-    /// fields sum, `max_depth` takes the maximum — so this is an alias
-    /// that documents the intent at the memo-hit call site.
-    pub fn apply_delta(&mut self, delta: &PpStats) {
-        self.merge(delta);
+        superc_util::counters::merge(self, other);
     }
 }

@@ -3,7 +3,8 @@
 
 use std::fmt;
 
-/// Counters for one parse.
+/// Counters for one parse. Each field's class and merge rule are
+/// declared once, after the struct.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ParseStats {
     /// Iterations of the main FMLR loop (one subparser step each).
@@ -39,24 +40,40 @@ pub struct ParseStats {
     pub budget_killed: u64,
     /// Tokens shifted inside the deterministic fast path. A gauge of how
     /// much of the input ran on the scratch-stack loop; zero with
-    /// `--no-fastpath`. Excluded from determinism comparisons (like
-    /// `merge_probes`): the fast path changes *how* work is scheduled,
+    /// `--no-fastpath`. The fast path changes *how* work is scheduled,
     /// never what it produces.
     pub fastpath_tokens: u64,
     /// Times the engine entered the deterministic fast path (committed at
     /// least one step there). Entry needs only a single-headed subparser
     /// at the front of the queue; others may be queued behind it.
-    /// Excluded from determinism comparisons.
     pub fastpath_entries: u64,
     /// Times the fast path persisted its scratch stack and re-entered the
     /// general FMLR queue: a conditional or typedef split ended the
     /// stretch, or its head reached the position of the queue minimum.
     /// Two subparsers sharing a head exit after every step until they
     /// merge. Entries that terminate inside the fast path — accept,
-    /// error, budget kill — do not count an exit. Excluded from
-    /// determinism comparisons.
+    /// error, budget kill — do not count an exit.
     pub fastpath_exits: u64,
 }
+
+superc_util::counters!(ParseStats in "fmlr" {
+    iterations: Behavior Sum,
+    max_subparsers: Behavior Max,
+    forks: Behavior Sum,
+    merges: Behavior Sum,
+    merge_probes: Mode Sum,
+    shifts: Behavior Sum,
+    reduces: Behavior Sum,
+    shared_reduces: Behavior Sum,
+    lazy_shifts: Behavior Sum,
+    reclassify_forks: Behavior Sum,
+    choice_nodes: Behavior Sum,
+    budget_trips: Behavior Sum,
+    budget_killed: Behavior Sum,
+    fastpath_tokens: Mode Sum,
+    fastpath_entries: Mode Sum,
+    fastpath_exits: Mode Sum,
+} histograms [subparser_hist]);
 
 impl ParseStats {
     pub(crate) fn observe_live(&mut self, live: usize) {
@@ -89,28 +106,13 @@ impl ParseStats {
 
     /// Accumulates another parse's counters (for corpus-level reporting).
     pub fn merge(&mut self, other: &ParseStats) {
-        self.iterations += other.iterations;
-        self.max_subparsers = self.max_subparsers.max(other.max_subparsers);
+        superc_util::counters::merge(self, other);
         if self.subparser_hist.len() < other.subparser_hist.len() {
             self.subparser_hist.resize(other.subparser_hist.len(), 0);
         }
         for (i, &c) in other.subparser_hist.iter().enumerate() {
             self.subparser_hist[i] += c;
         }
-        self.forks += other.forks;
-        self.merges += other.merges;
-        self.merge_probes += other.merge_probes;
-        self.shifts += other.shifts;
-        self.reduces += other.reduces;
-        self.shared_reduces += other.shared_reduces;
-        self.lazy_shifts += other.lazy_shifts;
-        self.reclassify_forks += other.reclassify_forks;
-        self.choice_nodes += other.choice_nodes;
-        self.budget_trips += other.budget_trips;
-        self.budget_killed += other.budget_killed;
-        self.fastpath_tokens += other.fastpath_tokens;
-        self.fastpath_entries += other.fastpath_entries;
-        self.fastpath_exits += other.fastpath_exits;
     }
 }
 

@@ -17,7 +17,11 @@
 //!   for the workspace's randomized tests.
 //! * [`json`] — a strict little JSON reader for the parse daemon's
 //!   NDJSON request protocol (responses are hand-rendered).
+//! * [`counters`] — the one declaration per stats struct (layer, merge
+//!   rule and class of every counter) that merging, the `#if`-memo
+//!   delta, determinism projections and `--stats` all iterate.
 
+pub mod counters;
 pub mod hash;
 pub mod intern;
 pub mod json;

@@ -20,6 +20,10 @@ else
     # reference lookahead pass) and the FMLR engine's (Figure 6 and the
     # MAPR kill switch, the stack-metadata property).
     cargo test -q -p superc-grammar -p superc-csyntax -p superc-fmlr
+    # The crates that declare counters or render them: the counter
+    # helpers, the stats structs' own cases (the cpp cache on/off
+    # counter test among them) and the `--stats` table's.
+    cargo test -q -p superc-cpp -p superc-bdd -p superc-cond -p superc-util -p superc
 fi
 # Re-run the parallel determinism suite with a wider, oversubscribed jobs
 # ladder than the default 1,2,8 — cheap extra scheduling coverage.
@@ -102,6 +106,50 @@ for fp in fastpath no-fastpath; do
     done
 done
 echo "verify: kernel corpus smoke OK"
+
+# --stats leg: every `--stats` row names one declared counter with its
+# class (superc_util::counters). Behavior and mode rows must be
+# identical at every job count, and behavior rows also under
+# --no-fastpath, which may move only the mode rows. Schedule and timing
+# rows are free to differ. Rows are compared as `name class value`:
+# column padding follows the widest cell, which a timing row can set.
+stats_rows() { # classes... < table -> the rows of those classes
+    awk -v want=" $* " 'NF == 3 && index(want, " " $2 " ") { print $1, $2, $3 }'
+}
+behavior_ref=""
+for fp in fastpath no-fastpath; do
+    extra=()
+    [[ "$fp" == no-fastpath ]] && extra=(--no-fastpath)
+    mode_ref=""
+    for j in 1 2 8; do
+        table=$(cd "$KGEN_DIR" && "$ROBUST_BIN" --jobs "$j" --stats \
+            ${extra[@]+"${extra[@]}"} -I include src/*.c 2>/dev/null) || {
+            echo "verify: kernel corpus --stats failed at --jobs $j ($fp)" >&2
+            exit 1
+        }
+        rows=$(stats_rows behavior mode <<<"$table")
+        if ! grep -q '^fmlr\.merges behavior ' <<<"$rows"; then
+            echo "verify: --stats printed no counter rows at --jobs $j ($fp)" >&2
+            exit 1
+        fi
+        if [[ -z "$mode_ref" ]]; then
+            mode_ref="$rows"
+        elif [[ "$rows" != "$mode_ref" ]]; then
+            echo "verify: --stats behavior/mode rows diverged at --jobs $j ($fp)" >&2
+            diff <(echo "$mode_ref") <(echo "$rows") >&2 || true
+            exit 1
+        fi
+        rows=$(stats_rows behavior <<<"$table")
+        if [[ -z "$behavior_ref" ]]; then
+            behavior_ref="$rows"
+        elif [[ "$rows" != "$behavior_ref" ]]; then
+            echo "verify: --stats behavior rows diverged at --jobs $j ($fp)" >&2
+            diff <(echo "$behavior_ref") <(echo "$rows") >&2 || true
+            exit 1
+        fi
+    done
+done
+echo "verify: --stats counter rows OK"
 
 # Warm re-run byte-identity: `--warm` re-runs the corpus through the
 # pooled runner with the unit result memo enabled, and `--edit` rewrites

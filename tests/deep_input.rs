@@ -8,7 +8,8 @@
 //!   condition that keeps the guarded tokens. These run on a 512 KiB
 //!   thread, so a recursion that escapes the bound fails every time.
 
-use superc::corpus::{process_corpus, CorpusOptions, UnitReport};
+use superc::corpus::{process_corpus, CorpusOptions};
+use superc::counters::Class;
 use superc::{MemFs, Options, ProcessedUnit, SuperC};
 
 /// Runs `f` on a fresh thread with `bytes` of stack.
@@ -21,23 +22,6 @@ fn on_stack<T: Send>(bytes: usize, f: impl FnOnce() -> T + Send) -> T {
             .join()
             .expect("no panic")
     })
-}
-
-/// Everything schedule-invariant about a unit's report.
-fn signature(u: &UnitReport) -> String {
-    format!(
-        "{} parsed={} partial={} errors={:?} diagnostics={:?} fatal={:?} \
-         failure={:?} choice_nodes={} parse={:?}",
-        u.path,
-        u.parsed,
-        u.partial,
-        u.errors,
-        u.diagnostics,
-        u.fatal,
-        u.failure,
-        u.choice_nodes,
-        u.parse
-    )
 }
 
 #[test]
@@ -64,7 +48,9 @@ fn pool_workers_parse_a_long_chain_like_the_main_thread() {
     let alone = on_stack(8 << 20, || run(1));
     assert_eq!(pooled.workers, 2, "both units must run on pool workers");
     assert!(alone.units[0].parsed, "{:?}", alone.units[0].errors);
-    assert_eq!(signature(&pooled.units[0]), signature(&alone.units[0]));
+    alone
+        .check_same(&pooled, &[Class::Behavior, Class::Mode])
+        .unwrap_or_else(|d| panic!("pool workers vs one thread: {d}"));
 }
 
 fn process(src: &str) -> ProcessedUnit {

@@ -19,8 +19,9 @@
 //! the gauges that *define* the difference: `merge_probes` (the general
 //! loop probes the merge index on every step; the fast path never
 //! does), the `fastpath_*` gauges, and the preprocessor's
-//! `fused_tokens` — all zeroed in [`countable_parse`]/[`countable_pp`]
-//! alongside the schedule-dependent cache counters.
+//! `fused_tokens`. Their declarations class them `mode`, so an on/off
+//! pair is compared on the `behavior` class alone and cells in one mode
+//! on both.
 //!
 //! Presence conditions are compared two ways: the canonically rendered
 //! text inside lint records and degradations is byte-compared, and the
@@ -36,7 +37,8 @@
 //! stretch that runs while another subparser is queued.
 
 use superc::analyze::LintOptions;
-use superc::corpus::{process_corpus, Capture, CorpusOptions, CorpusReport};
+use superc::corpus::{process_corpus, Capture, CorpusOptions};
+use superc::counters::{project, Class};
 use superc::{BudgetKind, Budgets, DiskFs, MemFs, Options, PpOptions, Profile, SuperC};
 use superc_kernelgen::{generate, CorpusSpec};
 
@@ -56,96 +58,11 @@ fn options(fastpath: bool, budgets: Budgets) -> Options {
     o
 }
 
-/// Preprocessor counters minus the schedule-dependent fields (see
-/// `tests/parallel.rs`) and `fused_tokens`, which is zero with fusion
-/// off by definition.
-fn countable_pp(pp: &superc::PpStats) -> superc::PpStats {
-    superc::PpStats {
-        lex_nanos: 0,
-        lex_nanos_saved: 0,
-        shared_cache_hits: 0,
-        shared_cache_misses: 0,
-        condexpr_memo_hits: 0,
-        condexpr_memo_misses: 0,
-        expansion_memo_hits: 0,
-        fused_tokens: 0,
-        ..*pp
-    }
-}
-
-/// Parser counters minus the fastpath gauges and `merge_probes` — the
-/// fast path skips the per-step merge-index probe (that *is* the
-/// optimization), and while the stepped subparser's head is strictly
-/// before every queued head no queued subparser shares its merge key,
-/// so skipping the probe can never change merges.
-fn countable_parse(p: &superc::ParseStats) -> superc::ParseStats {
-    let mut p = p.clone();
-    p.merge_probes = 0;
-    p.fastpath_tokens = 0;
-    p.fastpath_entries = 0;
-    p.fastpath_exits = 0;
-    p
-}
-
-/// Every schedule-invariant surface of two corpus runs must match.
-fn assert_reports_identical(base: &CorpusReport, other: &CorpusReport, label: &str) {
-    assert_eq!(base.units.len(), other.units.len(), "{label}: unit count");
-    for (b, o) in base.units.iter().zip(&other.units) {
-        assert_eq!(b.path, o.path, "{label}: input order not preserved");
-        assert_eq!(
-            countable_pp(&b.pp),
-            countable_pp(&o.pp),
-            "{}: {label}: preprocessor counters",
-            b.path
-        );
-        assert_eq!(
-            countable_parse(&b.parse),
-            countable_parse(&o.parse),
-            "{}: {label}: parser counters",
-            b.path
-        );
-        assert_eq!(b.parsed, o.parsed, "{}: {label}: parsed flag", b.path);
-        assert_eq!(b.partial, o.partial, "{}: {label}: partial flag", b.path);
-        assert_eq!(
-            b.degradations, o.degradations,
-            "{}: {label}: degradations",
-            b.path
-        );
-        assert_eq!(
-            b.choice_nodes, o.choice_nodes,
-            "{}: {label}: choice nodes",
-            b.path
-        );
-        assert_eq!(b.errors, o.errors, "{}: {label}: errors", b.path);
-        assert_eq!(
-            b.diagnostics, o.diagnostics,
-            "{}: {label}: diagnostics",
-            b.path
-        );
-        assert_eq!(b.lints, o.lints, "{}: {label}: lint records", b.path);
-        assert_eq!(b.fatal, o.fatal, "{}: {label}: fatal", b.path);
-        assert_eq!(
-            b.unparses, o.unparses,
-            "{}: {label}: unparsed ASTs differ",
-            b.path
-        );
-    }
-    assert_eq!(
-        countable_pp(&base.pp),
-        countable_pp(&other.pp),
-        "{label}: merged preprocessor counters"
-    );
-    assert_eq!(
-        countable_parse(&base.parse),
-        countable_parse(&other.parse),
-        "{label}: merged parser counters"
-    );
-    assert_eq!(
-        base.behavior_counters(),
-        other.behavior_counters(),
-        "{label}: behavior fingerprint"
-    );
-}
+/// The fast path changes only how work is scheduled: a fastpath on/off
+/// pair agrees on every behavior counter, and runs in one mode agree on
+/// the mode counters too.
+const ACROSS_MODES: &[Class] = &[Class::Behavior];
+const SAME_MODE: &[Class] = &[Class::Behavior, Class::Mode];
 
 /// Runs one corpus through the full matrix and compares every cell
 /// against the fastpath-on, jobs=1, cache-on base run.
@@ -194,7 +111,9 @@ fn matrix(
                     "fastpath={fastpath} jobs={jobs} cache={}",
                     if no_cache { "off" } else { "on" }
                 );
-                assert_reports_identical(&base, &other, &label);
+                let keep = if fastpath { SAME_MODE } else { ACROSS_MODES };
+                base.check_same(&other, keep)
+                    .unwrap_or_else(|d| panic!("{label}: {d}"));
             }
         }
     }
@@ -410,8 +329,8 @@ int tail;\n";
     assert!(s.fastpath_exits >= 1, "{s:?}");
     let q = process_one(src, false, Budgets::unlimited());
     assert_eq!(
-        countable_parse(s),
-        countable_parse(&q.result.stats),
+        project(s, ACROSS_MODES),
+        project(&q.result.stats, ACROSS_MODES),
         "typedef-split behavior drifted"
     );
 }
@@ -440,7 +359,11 @@ fn budget_trip_inside_a_stretch_degrades_identically() {
     assert!(s.budget_trips > 0, "budget never tripped: {s:?}");
     assert_eq!(s.fastpath_entries, 1, "{s:?}");
     assert_eq!(s.fastpath_exits, 0, "a budget kill is not an exit: {s:?}");
-    assert_eq!(countable_parse(s), countable_parse(t), "trip drifted");
+    assert_eq!(
+        project(s, ACROSS_MODES),
+        project(t, ACROSS_MODES),
+        "trip drifted"
+    );
     assert_eq!(
         p.result.trips.len(),
         q.result.trips.len(),
@@ -481,7 +404,11 @@ fn budget_trip_in_a_stretch_with_a_queued_subparser_kills_it_too() {
     assert_eq!(s.fastpath_entries, 2, "{s:?}");
     assert_eq!(s.fastpath_exits, 1, "{s:?}");
     assert!(s.fastpath_tokens > 3, "the branch never ran fast: {s:?}");
-    assert_eq!(countable_parse(s), countable_parse(t), "trip drifted");
+    assert_eq!(
+        project(s, ACROSS_MODES),
+        project(t, ACROSS_MODES),
+        "trip drifted"
+    );
     for r in [&p.result, &q.result] {
         assert_eq!(r.trips.len(), 1, "{:?}", r.trips);
         assert_eq!(r.trips[0].kind, BudgetKind::Steps);

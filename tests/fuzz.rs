@@ -5,6 +5,7 @@
 
 use superc::analyze::LintOptions;
 use superc::corpus::{process_corpus, process_corpus_profiles, CorpusOptions};
+use superc::counters::{project, Class};
 use superc::cpp::Element;
 use superc::{Options, PpOptions, Profile, SuperC};
 use superc_util::prop::{check, Gen};
@@ -510,19 +511,12 @@ fn fastpath_and_general_engine_agree_on_soups() {
                 );
             }
         }
-        // Counters: everything but the gauges that define the fast path
-        // (merge probes, fastpath_*, fused_tokens — plus lex timing).
-        let countable = |s: &superc::ParseStats| {
-            let mut s = s.clone();
-            s.merge_probes = 0;
-            s.fastpath_tokens = 0;
-            s.fastpath_entries = 0;
-            s.fastpath_exits = 0;
-            s
-        };
+        // Counters: every behavior counter (the `mode` class holds the
+        // gauges that define the fast path).
+        let behavior = [Class::Behavior];
         assert_eq!(
-            countable(&fast.result.stats),
-            countable(&gen.result.stats),
+            project(&fast.result.stats, &behavior),
+            project(&gen.result.stats, &behavior),
             "diverging engine: parser counters differ \
              (left: fast path, right: general loop)\nsource:\n{src}"
         );

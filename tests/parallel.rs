@@ -5,21 +5,24 @@
 //! The determinism surface deliberately excludes rendered conditions and
 //! BDD/interner gauges — those depend on the order a worker's manager
 //! first met each variable (see `superc::corpus` docs). What *is*
-//! asserted byte-identical: configuration-restricted unparses of every
-//! unit's choice-node AST, per-unit preprocessor and parser counters,
-//! and the corpus-level behavior-counter fingerprint.
+//! asserted byte-identical is every unit's comparison view
+//! (`UnitReport::view`): configuration-restricted unparses of its
+//! choice-node AST, errors, diagnostics, lint records, and its behavior
+//! and mode counters.
 //!
 //! The matrix runs every jobs count **with and without the shared
 //! preprocessing cache**: the cache only moves lexing work between
 //! workers, so cache-on and cache-off runs must also be byte-identical
-//! (including lint output). Its hit/miss/saved-nanos counters are the
-//! schedule-dependent exceptions, zeroed in [`countable`].
+//! (including lint output). Its hit/miss counters are declared
+//! `schedule` and its saved nanos `timing`, so
+//! [`CorpusReport::check_same`] leaves them out.
 //!
 //! `SUPERC_PAR_JOBS` overrides the default `1,2,8` jobs ladder
 //! (`scripts/verify.sh` runs a wider, oversubscribed one).
 
 use superc::analyze::LintOptions;
 use superc::corpus::{process_corpus, Capture, CorpusOptions, CorpusReport};
+use superc::counters::{project, Class};
 use superc::{Options, PpOptions, Profile};
 use superc_kernelgen::{generate, Corpus, CorpusSpec};
 
@@ -59,25 +62,6 @@ fn capture_configs() -> Vec<Vec<String>> {
     ]
 }
 
-/// Preprocessor counters minus the wall-clock and schedule-dependent
-/// fields. `lex_nanos`/`lex_nanos_saved` are real elapsed time; the
-/// shared-cache and memo hit/miss counters depend on which worker got to
-/// a file or expression first (`expansion_memo_hits` inherits this
-/// through condexpr-memo delta replay — see `PpStats`). Every *other*
-/// count must be byte-identical.
-fn countable(pp: &superc::PpStats) -> superc::PpStats {
-    superc::PpStats {
-        lex_nanos: 0,
-        lex_nanos_saved: 0,
-        shared_cache_hits: 0,
-        shared_cache_misses: 0,
-        condexpr_memo_hits: 0,
-        condexpr_memo_misses: 0,
-        expansion_memo_hits: 0,
-        ..*pp
-    }
-}
-
 fn run_with_cache(corpus: &Corpus, jobs: usize, no_shared_cache: bool) -> CorpusReport {
     let copts = CorpusOptions {
         jobs,
@@ -99,55 +83,9 @@ fn run(corpus: &Corpus, jobs: usize) -> CorpusReport {
     run_with_cache(corpus, jobs, false)
 }
 
-/// Everything the determinism contract promises, for one run. `label`
-/// names the varied knob (`jobs=8`, `jobs=2 cache=off`, ...).
-fn assert_reports_identical(base: &CorpusReport, other: &CorpusReport, label: &str) {
-    assert_eq!(base.units.len(), other.units.len(), "{label}: unit count");
-    for (b, o) in base.units.iter().zip(&other.units) {
-        assert_eq!(b.path, o.path, "{label}: input order not preserved");
-        assert_eq!(
-            countable(&b.pp),
-            countable(&o.pp),
-            "{}: {label}: preprocessor counters",
-            b.path
-        );
-        assert_eq!(b.parse, o.parse, "{}: {label}: parser counters", b.path);
-        assert_eq!(b.parsed, o.parsed, "{}: {label}: parsed flag", b.path);
-        assert_eq!(
-            b.choice_nodes, o.choice_nodes,
-            "{}: {label}: choice nodes",
-            b.path
-        );
-        assert_eq!(b.fatal, o.fatal, "{}: {label}: fatal", b.path);
-        assert_eq!(
-            b.errors.len(),
-            o.errors.len(),
-            "{}: {label}: error count",
-            b.path
-        );
-        // Lint records render conditions canonically, so they are
-        // byte-identical across schedules and cache settings.
-        assert_eq!(b.lints, o.lints, "{}: {label}: lint records", b.path);
-        // The headline assertion: the AST restricted to each sampled
-        // configuration unparses to byte-identical text.
-        assert_eq!(
-            b.unparses, o.unparses,
-            "{}: {label}: unparsed ASTs differ",
-            b.path
-        );
-    }
-    assert_eq!(
-        countable(&base.pp),
-        countable(&other.pp),
-        "{label}: merged preprocessor counters"
-    );
-    assert_eq!(base.parse, other.parse, "{label}: merged parser counters");
-    assert_eq!(
-        base.behavior_counters(),
-        other.behavior_counters(),
-        "{label}: behavior fingerprint"
-    );
-}
+/// Job count and cache setting change only the schedule: every
+/// behavior and mode counter, and every output surface, must match.
+const SAME_MODE: &[Class] = &[Class::Behavior, Class::Mode];
 
 #[test]
 fn parallel_runs_are_deterministic_across_job_counts_and_cache_settings() {
@@ -170,7 +108,9 @@ fn parallel_runs_are_deterministic_across_job_counts_and_cache_settings() {
             }
             let other = run_with_cache(&corpus, jobs, no_cache);
             let label = format!("jobs={jobs} cache={}", if no_cache { "off" } else { "on" });
-            assert_reports_identical(&base, &other, &label);
+            if let Err(d) = base.check_same(&other, SAME_MODE) {
+                panic!("{label}: {d}");
+            }
         }
     }
 }
@@ -187,7 +127,9 @@ fn worker_count_is_capped_and_defaulted() {
     // jobs = 0 resolves to available parallelism (at least one worker).
     let auto = run(&corpus, 0);
     assert!(auto.workers >= 1);
-    assert_reports_identical(&run(&corpus, 1), &over, "jobs=64");
+    if let Err(d) = run(&corpus, 1).check_same(&over, SAME_MODE) {
+        panic!("jobs=64: {d}");
+    }
 }
 
 #[test]
@@ -200,8 +142,8 @@ fn sequential_driver_and_parallel_driver_agree() {
     for (unit, r) in corpus.units.iter().zip(&report.units) {
         let p = sc.process(unit).unwrap_or_else(|e| panic!("{unit}: {e}"));
         assert_eq!(
-            countable(&p.unit.stats),
-            countable(&r.pp),
+            project(&p.unit.stats, SAME_MODE),
+            project(&r.pp, SAME_MODE),
             "{unit}: preprocessor counters"
         );
         assert_eq!(p.result.stats, r.parse, "{unit}: parser counters");

@@ -19,7 +19,8 @@
 //!    accepted ∨ error conditions ∨ tripped conditions ≡ true, checked
 //!    by BDD equivalence — every configuration is accounted for.
 
-use superc::corpus::{process_corpus, Capture, CorpusOptions, UnitReport};
+use superc::corpus::{process_corpus, Capture, CorpusOptions, CorpusReport};
+use superc::counters::Class;
 use superc::{Budgets, Cond, DiskFs, Options, ParserConfig, SuperC};
 
 fn fixture_fs() -> DiskFs {
@@ -66,28 +67,13 @@ fn copts(jobs: usize, no_shared_cache: bool) -> CorpusOptions {
     }
 }
 
-/// Everything schedule-invariant about a unit, for cross-run equality.
-fn signature(u: &UnitReport) -> String {
-    format!(
-        "{} parsed={} partial={} degradations={:?} errors={:?} diagnostics={:?} \
-         fatal={:?} failure={:?} choice_nodes={} parse={:?}",
-        u.path,
-        u.parsed,
-        u.partial,
-        u.degradations,
-        u.errors,
-        u.diagnostics,
-        u.fatal,
-        u.failure,
-        u.choice_nodes,
-        u.parse
-    )
-}
+/// The deterministic budgets degrade identically on every schedule: runs
+/// that differ in jobs or cache agree on every behavior and mode counter
+/// and every output surface.
+const SAME_MODE: &[Class] = &[Class::Behavior, Class::Mode];
 
-fn run_signatures(options: &Options, copts: &CorpusOptions) -> (Vec<String>, String) {
-    let report = process_corpus(&fixture_fs(), &fixture_files(), options, copts);
-    let sigs = report.units.iter().map(signature).collect();
-    (sigs, report.behavior_counters())
+fn run(options: &Options, copts: &CorpusOptions) -> CorpusReport {
+    process_corpus(&fixture_fs(), &fixture_files(), options, copts)
 }
 
 #[test]
@@ -96,31 +82,25 @@ fn tight_budgets_never_panic_and_are_schedule_invariant() {
         budgets: tight_budgets(),
         ..Options::default()
     };
-    let (base_sigs, base_counters) = run_signatures(&options, &copts(1, false));
+    let base = run(&options, &copts(1, false));
     // The step budget must actually bite somewhere…
     assert!(
-        base_sigs.iter().any(|s| s.contains("partial=true")),
-        "no unit degraded under tight budgets: {base_sigs:#?}"
+        base.partial_units() > 0,
+        "no unit degraded under tight budgets: {:#?}",
+        base.units
     );
     // …while the control fixture stays untouched.
     assert!(
-        base_sigs.iter().any(|s| s.starts_with("ok.c")
-            && s.contains("partial=false")
-            && s.contains("parsed=true")),
-        "control fixture degraded: {base_sigs:#?}"
+        base.units
+            .iter()
+            .any(|u| u.path == "ok.c" && !u.partial && u.parsed),
+        "control fixture degraded: {:#?}",
+        base.units
     );
-    assert!(base_counters.contains("partial="));
     for jobs in [1, 2, 8] {
         for no_cache in [false, true] {
-            let (sigs, counters) = run_signatures(&options, &copts(jobs, no_cache));
-            assert_eq!(
-                sigs, base_sigs,
-                "per-unit report drifted at jobs={jobs} no_cache={no_cache}"
-            );
-            assert_eq!(
-                counters, base_counters,
-                "behavior counters drifted at jobs={jobs} no_cache={no_cache}"
-            );
+            base.check_same(&run(&options, &copts(jobs, no_cache)), SAME_MODE)
+                .unwrap_or_else(|d| panic!("jobs={jobs} no_cache={no_cache}: {d}"));
         }
     }
 }
@@ -138,14 +118,18 @@ fn subparser_shedding_is_schedule_invariant_under_mapr() {
         },
         ..Options::default()
     };
-    let (base_sigs, _) = run_signatures(&options, &copts(1, false));
+    let base = run(&options, &copts(1, false));
     assert!(
-        base_sigs.iter().any(|s| s.contains("live subparsers")),
-        "live-cap budget never tripped: {base_sigs:#?}"
+        base.units
+            .iter()
+            .flat_map(|u| &u.degradations)
+            .any(|d| d.contains("live subparsers")),
+        "live-cap budget never tripped: {:#?}",
+        base.units
     );
     for jobs in [2, 8] {
-        let (sigs, _) = run_signatures(&options, &copts(jobs, false));
-        assert_eq!(sigs, base_sigs, "shedding drifted at jobs={jobs}");
+        base.check_same(&run(&options, &copts(jobs, false)), SAME_MODE)
+            .unwrap_or_else(|d| panic!("shedding drifted at jobs={jobs}: {d}"));
     }
 }
 
@@ -211,13 +195,13 @@ fn include_depth_budget_degrades_with_a_diagnostic() {
 fn injected_panics_are_firewalled_and_deterministic() {
     let options = Options::default();
     let inject = vec!["bomb.c".to_string()];
-    let mut base: Option<Vec<String>> = None;
+    let mut base: Option<CorpusReport> = None;
     for jobs in [1, 2, 8] {
         let copts = CorpusOptions {
             inject_panic: inject.clone(),
             ..copts(jobs, false)
         };
-        let report = process_corpus(&fixture_fs(), &fixture_files(), &options, &copts);
+        let report = run(&options, &copts);
         let bomb = &report.units[0];
         assert_eq!(bomb.path, "bomb.c");
         let failure = bomb
@@ -238,10 +222,11 @@ fn injected_panics_are_firewalled_and_deterministic() {
             fixture_files().len() - 1,
             "jobs={jobs}"
         );
-        let sigs: Vec<String> = report.units.iter().map(signature).collect();
         match &base {
-            None => base = Some(sigs),
-            Some(b) => assert_eq!(&sigs, b, "firewall output drifted at jobs={jobs}"),
+            None => base = Some(report),
+            Some(b) => b
+                .check_same(&report, SAME_MODE)
+                .unwrap_or_else(|d| panic!("firewall output drifted at jobs={jobs}: {d}")),
         }
     }
 }
@@ -261,14 +246,11 @@ fn generous_budgets_are_behavior_identical_to_ungoverned() {
         ..Options::default()
     };
     let ungoverned = Options::default();
-    let (gov_sigs, gov_counters) = run_signatures(&governed, &copts(1, false));
-    let (raw_sigs, raw_counters) = run_signatures(&ungoverned, &copts(1, false));
-    assert_eq!(
-        gov_sigs, raw_sigs,
-        "armed-but-untripped budgets changed behavior"
-    );
-    assert_eq!(gov_counters, raw_counters);
-    assert!(gov_sigs.iter().all(|s| s.contains("partial=false")));
+    let gov = run(&governed, &copts(1, false));
+    let raw = run(&ungoverned, &copts(1, false));
+    gov.check_same(&raw, SAME_MODE)
+        .unwrap_or_else(|d| panic!("armed-but-untripped budgets changed behavior: {d}"));
+    assert_eq!(gov.partial_units(), 0);
 }
 
 #[test]

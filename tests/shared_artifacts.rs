@@ -16,7 +16,8 @@
 use std::sync::Arc;
 
 use superc::analyze::LintOptions;
-use superc::corpus::{Capture, CorpusOptions, CorpusReport, CorpusRunner};
+use superc::corpus::{Capture, CorpusOptions, CorpusRunner};
+use superc::counters::Class;
 use superc::{MemFs, Options, PpOptions, Profile};
 use superc_kernelgen::{generate, Corpus, CorpusSpec};
 
@@ -42,44 +43,8 @@ fn copts() -> CorpusOptions {
     }
 }
 
-/// Schedule-independent view of the per-unit preprocessor counters (the
-/// cache/memo hit counters depend on which worker got somewhere first;
-/// see `tests/parallel.rs`).
-fn countable(pp: &superc::PpStats) -> superc::PpStats {
-    superc::PpStats {
-        lex_nanos: 0,
-        lex_nanos_saved: 0,
-        shared_cache_hits: 0,
-        shared_cache_misses: 0,
-        condexpr_memo_hits: 0,
-        condexpr_memo_misses: 0,
-        expansion_memo_hits: 0,
-        ..*pp
-    }
-}
-
-fn assert_reports_identical(base: &CorpusReport, other: &CorpusReport, label: &str) {
-    assert_eq!(base.units.len(), other.units.len(), "{label}: unit count");
-    for (b, o) in base.units.iter().zip(&other.units) {
-        assert_eq!(b.path, o.path, "{label}: input order not preserved");
-        assert_eq!(
-            countable(&b.pp),
-            countable(&o.pp),
-            "{}: {label}: preprocessor counters",
-            b.path
-        );
-        assert_eq!(b.parse, o.parse, "{}: {label}: parser counters", b.path);
-        assert_eq!(b.parsed, o.parsed, "{}: {label}: parsed flag", b.path);
-        assert_eq!(b.fatal, o.fatal, "{}: {label}: fatal", b.path);
-        assert_eq!(b.lints, o.lints, "{}: {label}: lint records", b.path);
-        assert_eq!(b.unparses, o.unparses, "{}: {label}: unparses", b.path);
-    }
-    assert_eq!(
-        base.behavior_counters(),
-        other.behavior_counters(),
-        "{label}: behavior fingerprint"
-    );
-}
+/// A pooled run may differ from the one-shot base only in schedule.
+const SAME_MODE: &[Class] = &[Class::Behavior, Class::Mode];
 
 fn corpus() -> Corpus {
     generate(&CorpusSpec::small())
@@ -126,7 +91,8 @@ fn pooled_runs_match_across_jobs_and_cache_settings() {
                     "jobs={jobs} cache={} pass={pass}",
                     if no_cache { "off" } else { "on" }
                 );
-                assert_reports_identical(&base, &report, &label);
+                base.check_same(&report, SAME_MODE)
+                    .unwrap_or_else(|d| panic!("{label}: {d}"));
             }
         }
     }
@@ -169,5 +135,7 @@ fn poisoned_worker_rebuilds_only_the_mutable_layer() {
     // ...and the recovered pool's next batch is byte-identical to the
     // pre-poisoning run.
     let after = pool.run(&units, &CorpusOptions::default());
-    assert_reports_identical(&clean, &after, "post-recovery batch");
+    clean
+        .check_same(&after, SAME_MODE)
+        .unwrap_or_else(|d| panic!("post-recovery batch: {d}"));
 }

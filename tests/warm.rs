@@ -20,8 +20,9 @@
 //!   opaque tree that cannot, so every batch revalidates every path.
 //!
 //! Every cell asserts three things: the warm report matches a fresh
-//! cold reference over the edited tree (per-unit deterministic fields
-//! and behavior counters), the per-unit `memo_hit` flags match the edit
+//! cold reference over the edited tree (every unit's
+//! [`UnitReport::view`](superc::UnitReport::view) with behavior and
+//! mode counters), the per-unit `memo_hit` flags match the edit
 //! — edited-closure units recompute, untouched units replay — and the
 //! batch hashed exactly the files its revalidation path must read.
 
@@ -29,8 +30,9 @@ use std::sync::Arc;
 
 use superc::analyze::LintOptions;
 use superc::corpus::{
-    process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusReport, CorpusRunner,
+    process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusRunner,
 };
+use superc::counters::Class;
 use superc::{FileSystem, Options, Profile, SharedCache, SharedMemFs};
 
 /// Three units over a small header tree:
@@ -221,47 +223,9 @@ fn edits() -> Vec<Edit> {
     ]
 }
 
-/// Schedule-independent view of the per-unit preprocessor counters (the
-/// cache/memo hit gauges depend on who got somewhere first).
-fn countable(pp: &superc::PpStats) -> superc::PpStats {
-    superc::PpStats {
-        lex_nanos: 0,
-        lex_nanos_saved: 0,
-        shared_cache_hits: 0,
-        shared_cache_misses: 0,
-        condexpr_memo_hits: 0,
-        condexpr_memo_misses: 0,
-        expansion_memo_hits: 0,
-        ..*pp
-    }
-}
-
-fn assert_reports_identical(base: &CorpusReport, other: &CorpusReport, label: &str) {
-    assert_eq!(base.units.len(), other.units.len(), "{label}: unit count");
-    for (b, o) in base.units.iter().zip(&other.units) {
-        assert_eq!(b.path, o.path, "{label}: input order not preserved");
-        assert_eq!(
-            countable(&b.pp),
-            countable(&o.pp),
-            "{}: {label}: preprocessor counters",
-            b.path
-        );
-        assert_eq!(b.parse, o.parse, "{}: {label}: parser counters", b.path);
-        assert_eq!(b.parsed, o.parsed, "{}: {label}: parsed flag", b.path);
-        assert_eq!(b.fatal, o.fatal, "{}: {label}: fatal", b.path);
-        assert_eq!(b.lints, o.lints, "{}: {label}: lint records", b.path);
-        assert_eq!(
-            b.degradations, o.degradations,
-            "{}: {label}: degradations",
-            b.path
-        );
-    }
-    assert_eq!(
-        base.behavior_counters(),
-        other.behavior_counters(),
-        "{label}: behavior fingerprint"
-    );
-}
+/// A warm replay may differ from a cold run only in the schedule gauges
+/// and `memo_hit`, which the comparison view clears.
+const SAME_MODE: &[Class] = &[Class::Behavior, Class::Mode];
 
 #[test]
 fn warm_rerun_matches_cold_run_across_edit_jobs_fastpath_matrix() {
@@ -305,7 +269,9 @@ fn warm_matrix<T: Tree>() {
                 // run over the same tree — the fresh-process reference.
                 let second = pool.run(&units, &copts(true));
                 let reference = process_corpus(&*fs, &units, &opts, &copts(false));
-                assert_reports_identical(&reference, &second, &label);
+                reference
+                    .check_same(&second, SAME_MODE)
+                    .unwrap_or_else(|d| panic!("{label}: {d}"));
 
                 let expected_hits = edit.hits.iter().filter(|&&h| h).count() as u64;
                 assert_eq!(
@@ -375,7 +341,8 @@ fn warm_profiles_matrix<T: Tree>() {
                     "{label}: per-profile behavior fingerprints"
                 );
                 for (p, (rref, rwarm)) in reference.runs.iter().zip(&second.runs).enumerate() {
-                    assert_reports_identical(rref, rwarm, &format!("{label} profile {p}"));
+                    rref.check_same(rwarm, SAME_MODE)
+                        .unwrap_or_else(|d| panic!("{label} profile {p}: {d}"));
                     // The memo is per (unit, profile-signature): the
                     // same hit pattern must hold under every profile.
                     for (u, expect_hit) in rwarm.units.iter().zip(edit.hits) {
@@ -445,7 +412,8 @@ fn mixed_shapes_matrix<T: Tree>() {
                 let warm = pool.run(&units, &copts(true));
                 let cold = process_corpus(&*fs, &units, &opts, &copts(false));
                 let label = format!("{label} {batch}");
-                assert_reports_identical(&cold, &warm, &label);
+                cold.check_same(&warm, SAME_MODE)
+                    .unwrap_or_else(|d| panic!("{label}: {d}"));
                 assert_eq!(warm.unit_memo_hits, hits, "{label}: memo hits");
                 assert_eq!(warm.unit_memo_misses, n - hits, "{label}: memo misses");
             };
@@ -454,7 +422,8 @@ fn mixed_shapes_matrix<T: Tree>() {
                 let cold = process_corpus_profiles(&*fs, &units, &opts, &profiles, &copts(false));
                 let label = format!("{label} {batch}");
                 for (p, (c, w)) in cold.runs.iter().zip(&warm.runs).enumerate() {
-                    assert_reports_identical(c, w, &format!("{label} profile {p}"));
+                    c.check_same(w, SAME_MODE)
+                        .unwrap_or_else(|d| panic!("{label} profile {p}: {d}"));
                 }
                 assert_eq!(
                     cold.lint_records(&lopts),
@@ -590,7 +559,9 @@ fn no_shared_cache_pool_stays_edit_correct() {
     let second = pool.run(&units, &copts(true));
     assert_eq!(second.unit_memo_hits, 0, "no shared cache, no memo");
     let reference = process_corpus(&*fs, &units, &opts, &copts(false));
-    assert_reports_identical(&reference, &second, "no-shared-cache warm pool");
+    reference
+        .check_same(&second, SAME_MODE)
+        .unwrap_or_else(|d| panic!("no-shared-cache warm pool: {d}"));
 }
 
 #[test]
