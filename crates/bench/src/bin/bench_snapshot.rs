@@ -356,7 +356,7 @@ fn measure_kernel_ladder(corpus: &Corpus, reps: usize, warmup: usize) -> Vec<Sna
     let copts = CorpusOptions::default();
     let mut pools: Vec<(CorpusRunner<MemFs>, &'static str)> = KERNEL_LADDER
         .iter()
-        .map(|&(jobs, name)| (CorpusRunner::new(&options(), fs.clone(), jobs, false), name))
+        .map(|&(jobs, name)| (CorpusRunner::new(&options(), fs.clone(), jobs), name))
         .collect();
     for (pool, _) in &mut pools {
         for _ in 0..warmup {
@@ -390,10 +390,13 @@ fn measure_kernel_ladder(corpus: &Corpus, reps: usize, warmup: usize) -> Vec<Sna
 /// memo (the include-closure fingerprints actually discriminate).
 /// `scripts/bench.sh` gates the pair's throughput ratio at WARM_MIN.
 fn measure_incremental(corpus: &Corpus, reps: usize, jobs: usize) -> (Snapshot, Snapshot) {
-    use superc::{FileSystem, SharedMemFs};
-    let fs = Arc::new(SharedMemFs::from_mem(&corpus.fs));
-    let mut pool: CorpusRunner<SharedMemFs> =
-        CorpusRunner::new(&options(), fs.clone(), jobs, false);
+    use superc::service::DriverFs;
+    use superc::FileSystem;
+    let fs = Arc::new(DriverFs::new());
+    for (path, contents) in corpus.fs.iter() {
+        fs.set(path, contents);
+    }
+    let mut pool: CorpusRunner<DriverFs> = CorpusRunner::new(&options(), fs.clone(), jobs);
     let cold_opts = CorpusOptions::default();
     let warm_opts = CorpusOptions {
         warm: true,

@@ -16,9 +16,6 @@
 //!   --stats           print preprocessor/parser statistics
 //!   --jobs <N>        parse N compilation units in parallel
 //!                     (default: available parallelism; 1 = sequential)
-//!   --no-shared-cache disable the process-wide shared preprocessing
-//!                     cache in parallel runs (output is identical either
-//!                     way; this only changes who pays the lexing cost)
 //!   --no-fastpath     disable the deterministic parser fast path and
 //!                     fused lexing (output is byte-identical either way;
 //!                     this is an escape hatch and differential-testing
@@ -33,8 +30,7 @@
 //!                     their memoized result; units whose include closure
 //!                     was edited recompute. Output is byte-identical to a
 //!                     cold run over the final tree. The memo is bypassed
-//!                     for units that tripped a budget or failed, and
-//!                     disabled entirely under --no-shared-cache.
+//!                     for units that tripped a budget or failed.
 //!   --edit <R:dst=src> before (1-based) run R of --warm, copy file src
 //!                     over dst — scripted edits for warm re-run testing
 //!                     (repeatable)
@@ -107,8 +103,6 @@ struct Args {
     show_stats: bool,
     /// Worker threads; 0 = available parallelism.
     jobs: usize,
-    /// Disable the shared preprocessing cache in parallel runs.
-    no_shared_cache: bool,
     /// Warm re-run count: run the corpus this many times over one pooled
     /// runner with the unit result memo on; `0` = normal one-shot run.
     warm: usize,
@@ -129,7 +123,6 @@ fn parse_args(mut raw: Vec<String>) -> Result<Args, String> {
         show_ast: false,
         show_stats: false,
         jobs: 0,
-        no_shared_cache: false,
         warm: 0,
         edits: Vec::new(),
         lint: None,
@@ -257,7 +250,6 @@ fn parse_args(mut raw: Vec<String>) -> Result<Args, String> {
                     _ => b.hoist_cap = n as usize,
                 }
             }
-            "--no-shared-cache" => args.no_shared_cache = true,
             "--no-fastpath" => no_fastpath = true,
             "--warm" => {
                 let n = it.next().ok_or("--warm needs a run count")?;
@@ -288,7 +280,7 @@ fn parse_args(mut raw: Vec<String>) -> Result<Args, String> {
                 return Err(
                     "usage: superc [lint|daemon] [-I dir] [-D name[=v]] [--sat] [--mapr] \
                             [--level L] [--single names] [--preprocess] [--ast] [--stats] \
-                            [--jobs N] [--no-shared-cache] [--no-fastpath] [--profile name] \
+                            [--jobs N] [--no-fastpath] [--profile name] \
                             [--warm N] [--edit R:dst=src] \
                             [--max-subparsers N] [--parse-budget N] [--max-forks N] \
                             [--max-cond-nodes N] [--parse-time-ms N] [--include-depth N] \
@@ -478,7 +470,7 @@ fn run_corpus<R>(
 ) -> Result<R, String> {
     copts.warm = args.warm > 0;
     let fs = std::sync::Arc::new(DiskFs::new("."));
-    let mut pool = CorpusRunner::new(&args.options, fs, args.jobs, args.no_shared_cache);
+    let mut pool = CorpusRunner::new(&args.options, fs, args.jobs);
     apply_edits(args, 1)?;
     let mut report = batch(&mut pool, &copts);
     for run in 2..=args.warm {
@@ -496,7 +488,6 @@ fn run_lint(args: &Args, lint: &LintArgs) -> ExitCode {
     let copts = CorpusOptions {
         jobs: args.jobs,
         lint: Some(lint.opts.clone()),
-        no_shared_cache: args.no_shared_cache,
         ..CorpusOptions::default()
     };
     emit(if lint.profiles.is_empty() {
@@ -521,7 +512,6 @@ fn run_parallel(args: &Args) -> ExitCode {
             ast: args.show_ast,
             unparse_configs: Vec::new(),
         },
-        no_shared_cache: args.no_shared_cache,
         ..CorpusOptions::default()
     };
     emit(

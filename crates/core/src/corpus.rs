@@ -35,23 +35,29 @@
 //!   `Arc<ParseTables>`, the keyword/punctuator classification seed,
 //!   and the context plug-in's production tables;
 //! - the [`Options`] (plain data, cloned once per worker);
-//! - the **shared preprocessing cache** (`superc_cpp::SharedCache`,
-//!   unless [`CorpusOptions::no_shared_cache`]): a map from a file's
+//! - the **shared preprocessing cache** (`superc_cpp::SharedCache`;
+//!   every pool carries one, and only a one-shot run may turn it off
+//!   with [`CorpusOptions::no_shared_cache`]): a map from a file's
 //!   **content hash** to its frozen token stream, directive tree, and
 //!   detected include guard, so each distinct file content is lexed
-//!   once per *process* instead of once per *worker*. Content keying
-//!   is also the invalidation story: an edited file hashes to a new
-//!   key and misses naturally, which is what lets a pooled runner
-//!   serve **warm re-runs** over an edited tree (see
-//!   [`CorpusOptions::warm`] and the unit result memo below).
+//!   once per *process* instead of once per *worker*. In front of it
+//!   sit the per-generation **path rows**, the workers' only view of
+//!   the tree: include resolution, header loads and memo probes all
+//!   read a path through its row, so each path is read once per
+//!   generation, by one worker. Content keying is also the
+//!   invalidation story: an edited file hashes to a new key and misses
+//!   naturally, which is what lets a pooled runner serve **warm
+//!   re-runs** over an edited tree (see [`CorpusOptions::warm`] and the
+//!   unit result memo below).
 //!
 //! What is *per-worker*, created inside each thread and never shared —
 //! the mutable layer: the [`CondCtx`] (BDD manager or SAT state), the
 //! symbol interner, the preprocessor's macro table and L1 header cache,
 //! the conditional-expression memo, the reusable `CParser` engine state,
 //! and all statistics. Workers communicate only through the cursor, the
-//! shared cache's sharded `RwLock`s (off the hot path: one probe per
-//! `#include`), and their return values.
+//! shared cache's sharded `RwLock`s (one row lookup per include probe
+//! and header load, one artifact probe per L1 miss), and their return
+//! values.
 //!
 //! A worker holds that mutable layer as one **tool per distinct
 //! [`Profile`]** it has run, built on first use and keyed by the whole
@@ -67,21 +73,22 @@
 //!
 //! A pooled runner may legitimately see the file tree **edited between
 //! batches** (never during one). Coherence is generation-based: every
-//! batch starts a new shared-cache generation, in which each worker's
-//! L1 entries and the shared path→hash memo revalidate against current
-//! file bytes, and unchanged files keep their artifacts while edited
-//! ones miss into a fresh lex. The batch asks its tree what changed
-//! ([`FileSystem::take_changes`]): a tree that keeps a log of its
-//! writes (`SharedMemFs`, a resolver-less `DriverFs`) names the edited
-//! paths, and only those are read and hashed again; a tree that cannot
-//! tell (`DiskFs`, a resolver) has every path rehashed on first touch.
+//! batch starts a new shared-cache generation, whose path rows are read
+//! afresh where the tree may have changed; each worker's L1 entries are
+//! checked against their row's hash, and unchanged files keep their
+//! artifacts while edited ones miss into a lex of the row's bytes. The
+//! batch asks its tree what changed ([`FileSystem::take_changes`]): a
+//! tree that keeps a log of its writes (a resolver-less `DriverFs`)
+//! names the edited paths, and only those are read and hashed again; a
+//! tree that cannot tell (`DiskFs`, a resolver) has every path read
+//! again on first touch.
 //!
 //! On top of that, [`CorpusOptions::warm`] enables the pool's **unit
 //! result memo**: each completed unit is stored under its path, an
 //! options/profile signature, and its include-closure dependency
 //! fingerprint (the sorted `(path, content hash)` set the preprocessor
 //! observed, plus the failed include probes). A later warm batch
-//! revalidates the fingerprint — pure hash-memo lookups, no lexing, and
+//! revalidates the fingerprint — pure path-row lookups, no lexing, and
 //! no lookups at all for an entry valid in the previous batch whose
 //! paths the change set does not name — and on a match replays the
 //! cached [`UnitReport`] without scheduling any preprocessing, parsing,
@@ -90,9 +97,7 @@
 //! `bench_snapshot`, and verify.sh); only the `schedule` gauges and
 //! `memo_hit` differ, and [`UnitReport::view`] leaves both out. Units
 //! are **not** memoized when they tripped a resource budget, failed, or
-//! panicked, and the memo is disabled entirely without the shared cache
-//! (`no_shared_cache` pools instead drop worker L1 caches at each batch
-//! boundary to stay edit-correct).
+//! panicked.
 //!
 //! # Determinism
 //!
@@ -149,11 +154,15 @@ pub struct CorpusOptions {
     /// records render conditions canonically, so they *are* part of the
     /// determinism contract, unlike raw condition display strings.
     pub lint: Option<superc_analyze::LintOptions>,
-    /// Disable the process-wide shared preprocessing cache (the L2 of the
-    /// two-level header cache; see `superc_cpp::SharedCache`). The cache
-    /// only changes *which worker pays* the lexing cost for a shared
-    /// header, never the output, so this exists as an escape hatch and a
-    /// baseline for benchmarking, not a correctness knob.
+    /// Run a one-shot call ([`process_corpus`],
+    /// [`process_corpus_profiles`]) without the process-wide shared
+    /// preprocessing cache (the L2 of the two-level header cache; see
+    /// `superc_cpp::SharedCache`): every tool reads the tree through
+    /// `FileSystem::read` and lexes every header itself. The cache only
+    /// changes *which worker pays* the lexing cost for a shared header,
+    /// never the output, so this is the reference every cache on/off
+    /// matrix compares against, not a correctness knob. A
+    /// [`CorpusRunner`] always carries the cache and ignores it.
     pub no_shared_cache: bool,
     /// Test hook for the per-unit panic firewall: units whose path is
     /// listed here panic inside the worker instead of being processed,
@@ -171,7 +180,7 @@ pub struct CorpusOptions {
     /// their cached [`UnitReport`] without any preprocessing, parsing,
     /// or linting. Output is byte-identical to a cold run over the same
     /// tree. Ignored by [`process_corpus`] (its memo would never carry
-    /// across calls) and a no-op when the shared cache is disabled.
+    /// across calls).
     pub warm: bool,
 }
 
@@ -1063,10 +1072,10 @@ impl MemoCtx {
     }
 
     /// Stores a unit completed in this batch under profile `p`'s
-    /// signature. Bypassed for units with no recorded fingerprint (no
-    /// shared cache), budget-degraded units (wall-clock budgets make
-    /// their outcome schedule-dependent), and failed or panicked units —
-    /// those recompute every time.
+    /// signature. Bypassed for units with no recorded fingerprint,
+    /// budget-degraded units (wall-clock budgets make their outcome
+    /// schedule-dependent), and failed or panicked units — those
+    /// recompute every time.
     fn store(
         &self,
         path: &str,
@@ -1107,13 +1116,15 @@ impl MemoCtx {
 /// `CorpusRunner` keeps the workers (and their warm caches) alive:
 /// spawn once, [`CorpusRunner::run`] per batch.
 ///
-/// The worker count and the shared-cache policy are **pool-level**
-/// choices fixed at construction; [`CorpusOptions::jobs`] and
-/// [`CorpusOptions::no_shared_cache`] on a batch's options are ignored
-/// by [`CorpusRunner::run`]. Per-batch capture/lint/panic-injection
-/// options apply normally. The determinism contract is identical to
-/// [`process_corpus`]: per-unit reports and merged behavior counters
-/// are byte-identical for any pool size, batch split, or schedule.
+/// The worker count is a **pool-level** choice fixed at construction,
+/// and every pool carries one shared cache whose generations keep its
+/// workers coherent across edits between batches;
+/// [`CorpusOptions::jobs`] and [`CorpusOptions::no_shared_cache`] on a
+/// batch's options are ignored by [`CorpusRunner::run`]. Per-batch
+/// capture/lint/panic-injection options apply normally. The
+/// determinism contract is identical to [`process_corpus`]: per-unit
+/// reports and merged behavior counters are byte-identical for any pool
+/// size, batch split, or schedule.
 ///
 /// # Examples
 ///
@@ -1124,7 +1135,7 @@ impl MemoCtx {
 ///
 /// let fs = Arc::new(MemFs::new().file("a.c", "int a;\n"));
 /// let units = vec!["a.c".to_string()];
-/// let mut pool = CorpusRunner::new(&Options::default(), fs, 2, false);
+/// let mut pool = CorpusRunner::new(&Options::default(), fs, 2);
 /// let first = pool.run(&units, &CorpusOptions::default());
 /// let again = pool.run(&units, &CorpusOptions::default()); // warm workers
 /// assert_eq!(first.behavior_counters(), again.behavior_counters());
@@ -1133,10 +1144,10 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     jobs: usize,
     txs: Vec<mpsc::Sender<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// The pool-wide L2 cache (`None` for `no_shared_cache` pools); the
-    /// runner starts a generation at every batch boundary so workers
-    /// revalidate the tree's changed paths.
-    shared: Option<Arc<SharedCache>>,
+    /// The pool-wide L2 cache and path rows; the runner starts a
+    /// generation at every batch boundary so workers read the tree's
+    /// changed paths again.
+    shared: Arc<SharedCache>,
     /// The pool's unit result memo, filled and consulted by warm
     /// batches ([`CorpusOptions::warm`]).
     memo: Arc<UnitMemo>,
@@ -1149,33 +1160,21 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
 
 impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     /// Spawns a pool of `jobs` workers (`0` means [`default_jobs`]) over
-    /// `fs`, all attached to one pool-wide shared L2 cache unless
-    /// `no_shared_cache`. Each worker builds a tool (over `Arc<F>`) for
-    /// each profile the first time a batch hands it one, and keeps it
-    /// for later batches.
-    pub fn new(options: &Options, fs: Arc<F>, jobs: usize, no_shared_cache: bool) -> Self {
+    /// `fs`, all attached to one pool-wide shared L2 cache. Each worker
+    /// builds a tool (over `Arc<F>`) for each profile the first time a
+    /// batch hands it one, and keeps it for later batches.
+    pub fn new(options: &Options, fs: Arc<F>, jobs: usize) -> Self {
         let jobs = if jobs == 0 { default_jobs() } else { jobs };
-        let shared: Option<Arc<SharedCache>> =
-            (!no_shared_cache).then(|| Arc::new(SharedCache::new()));
+        let shared = Arc::new(SharedCache::new());
         let mut txs = Vec::with_capacity(jobs);
         let mut handles = Vec::with_capacity(jobs);
         for _ in 0..jobs {
             let (tx, rx) = mpsc::channel::<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>();
-            let (options, fs, shared) = (options.clone(), Arc::clone(&fs), shared.clone());
+            let (options, fs) = (options.clone(), Arc::clone(&fs));
+            let shared = Some(Arc::clone(&shared));
             let spawned = worker_thread().spawn(move || {
                 let mut worker = Worker::new(options, fs, shared);
                 while let Ok((batch, done)) = rx.recv() {
-                    // Without a shared cache there is no generation
-                    // protocol, so the only edit-correct stance for a
-                    // pool that may see the tree change between batches
-                    // is to drop every worker's L1 header cache at the
-                    // boundary. Output-neutral: an L1 hit and a fresh
-                    // lex credit files/bytes identically.
-                    if worker.shared.is_none() {
-                        for (_, tool) in &mut worker.tools {
-                            tool.invalidate_file_cache();
-                        }
-                    }
                     let _ = done.send(worker.run(&batch));
                 }
             });
@@ -1198,11 +1197,11 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         self.jobs
     }
 
-    /// The pool-wide shared L2 cache, when the pool has one. Exposed so
-    /// tests and benchmarks can read its gauges (`rehashes`,
-    /// `duplicate_freezes`, entry count).
-    pub fn shared_cache(&self) -> Option<&Arc<SharedCache>> {
-        self.shared.as_ref()
+    /// The pool-wide shared L2 cache. Exposed so tests and benchmarks
+    /// can read its gauges (`rehashes`, `duplicate_freezes`, entry
+    /// count).
+    pub fn shared_cache(&self) -> &Arc<SharedCache> {
+        &self.shared
     }
 
     /// Runs one batch over the pool and reassembles the report in input
@@ -1233,8 +1232,8 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     /// The pooled host around the shared scheduler, one batch per call.
     ///
     /// A batch starts by asking the tree what changed since the previous
-    /// batch and starting a shared-cache generation that revalidates
-    /// exactly those paths (every path when the tree cannot tell). It
+    /// batch and starting a shared-cache generation that reads exactly
+    /// those paths again (every path when the tree cannot tell). It
     /// then fans one [`Batch`] out to the pool, and ends by sweeping
     /// dead artifacts out of the L2 after warm batches (cold pools churn
     /// no hashes, so there is nothing to evict and the sweep would be
@@ -1251,28 +1250,23 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
             paths.dedup();
             paths
         });
-        let (memo, rehash_base) = match &self.shared {
-            Some(s) => {
-                let gen = s.next_generation_with(changed.as_deref());
-                // One signature per row: the profile changes output, and
-                // everything else is identical across the grid.
-                let memo = copts.warm.then(|| MemoCtx {
-                    memo: Arc::clone(&self.memo),
-                    sigs: profiles
-                        .iter()
-                        .map(|p| {
-                            let mut opts = self.options.clone();
-                            opts.pp.profile = p.clone();
-                            options_sig(&opts, &copts)
-                        })
-                        .collect(),
-                    gen,
-                    changed,
-                });
-                (memo, s.rehashes())
-            }
-            None => (None, 0),
-        };
+        let gen = self.shared.next_generation_with(changed.as_deref());
+        // One signature per row: the profile changes output, and
+        // everything else is identical across the grid.
+        let memo = copts.warm.then(|| MemoCtx {
+            memo: Arc::clone(&self.memo),
+            sigs: profiles
+                .iter()
+                .map(|p| {
+                    let mut opts = self.options.clone();
+                    opts.pp.profile = p.clone();
+                    options_sig(&opts, &copts)
+                })
+                .collect(),
+            gen,
+            changed,
+        });
+        let rehash_base = self.shared.rehashes();
         let batch = Arc::new(Batch::new(units, profiles, copts, self.jobs, memo));
         let (done_tx, done_rx) = mpsc::channel();
         for tx in self.txs.iter().take(batch.workers) {
@@ -1283,13 +1277,10 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         let outputs: Vec<WorkerOutput> = done_rx.iter().collect();
         assert_eq!(outputs.len(), batch.workers, "pool worker died mid-batch");
         let wall = start.elapsed();
-        let rehashed = self.shared.as_ref().map_or(0, |s| {
-            let rehashed = s.rehashes() - rehash_base;
-            if batch.copts.warm {
-                s.sweep();
-            }
-            rehashed
-        });
+        let rehashed = self.shared.rehashes() - rehash_base;
+        if batch.copts.warm {
+            self.shared.sweep();
+        }
         batch.assemble(outputs, wall, rehashed)
     }
 }

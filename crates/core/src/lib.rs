@@ -54,7 +54,7 @@ pub use superc_util::counters;
 pub use superc_cond::{Cond, CondBackend, CondCtx};
 pub use superc_cpp::{
     Builtins, CompilationUnit, CondSite, DiskFs, FileSystem, MemFs, PpError, PpOptions, PpStats,
-    Preprocessor, Profile, SharedCache, SharedMemFs, UndefIdentPolicy,
+    Preprocessor, Profile, SharedCache, UndefIdentPolicy,
 };
 pub use superc_csyntax::{
     c_artifacts, c_grammar, classify, declared_names, function_definitions, parse_unit,
@@ -254,19 +254,13 @@ impl<F: FileSystem> SuperC<F> {
     }
 
     /// Attaches a process-wide shared preprocessing cache (the L2 behind
-    /// the per-tool header cache). Intended for corpus drivers that run
-    /// many `SuperC` instances over one immutable file tree; see
+    /// the per-tool header cache). Its path rows then become the tool's
+    /// only view of the tree: one read per path per cache generation,
+    /// shared by every tool attached to it. Intended for corpus drivers
+    /// that run many `SuperC` instances over one file tree; see
     /// [`corpus::process_corpus`].
     pub fn set_shared_cache(&mut self, cache: std::sync::Arc<SharedCache>) {
         self.pp.set_shared_cache(cache);
-    }
-
-    /// Drops the preprocessor's per-tool (L1) header cache. Pooled
-    /// corpus workers without a shared L2 call this at batch boundaries:
-    /// with no generation protocol to revalidate against, a stale L1
-    /// entry would outlive an edit to the file tree.
-    pub fn invalidate_file_cache(&mut self) {
-        self.pp.invalidate_file_cache();
     }
 
     /// Processes one compilation unit end to end.

@@ -70,131 +70,19 @@
 //! open) land on the per-driver **last-error channel**, mirrored
 //! through `superc_last_error` in the C API.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
-use superc_cpp::FileSystem;
+use superc_cpp::DiskFs;
 
 use crate::analyze::LintOptions;
 use crate::cli::{self, LintFormat, Rendered};
 use crate::corpus::{Capture, CorpusOptions, CorpusReport, CorpusRunner};
 use crate::{Options, Profile};
 
-/// A pluggable include resolver: given an exact path, produce the file
-/// contents (`Ok(None)` = absent; `Err` = resolver failure, recorded on
-/// the driver's last-error channel and treated as absent).
-pub type ResolverFn = Box<dyn Fn(&str) -> Result<Option<String>, String> + Send + Sync>;
-
-/// The driver's virtual file tree: an in-memory overlay over an
-/// optional resolver callback.
-///
-/// * Overlay entries win: [`DriverFs::set`] stages contents,
-///   [`DriverFs::tombstone`] makes a path absent even if the resolver
-///   would produce it (deleting a file the backing store still has).
-/// * Paths not in the overlay fall through to the resolver.
-///
-/// This generalizes `SharedMemFs` (a resolver-less overlay) and
-/// `DiskFs` (a disk-reading resolver with an empty overlay); pooled
-/// workers share one `Arc<DriverFs>`, and the coherence contract is the
-/// runner's — edits land only between batches, which the [`Driver`]'s
-/// generation protocol enforces.
-///
-/// Overlay edits are logged for [`FileSystem::take_changes`], so a
-/// resolver-less driver revalidates only the staged paths. A resolver
-/// can change what it serves without telling anyone, so while one is
-/// installed — and for the first batch after one is installed or
-/// cleared — the tree reports no change set and every path is
-/// revalidated.
-#[derive(Default)]
-pub struct DriverFs {
-    /// `Some(contents)` = staged file; `None` = tombstone.
-    overlay: RwLock<HashMap<String, Option<Arc<str>>>>,
-    resolver: RwLock<Option<ResolverFn>>,
-    /// Overlay paths staged since the last `take_changes`; `None` while
-    /// the changes are unknown (a new tree, or a resolver swap since).
-    changed: Mutex<Option<BTreeSet<String>>>,
-    /// Most recent service-layer error (resolver failures, misuse).
-    last_error: Mutex<Option<String>>,
-}
-
-impl DriverFs {
-    /// An empty tree with no resolver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stages (adds or replaces) a file in the overlay.
-    pub fn set(&self, path: &str, contents: &str) {
-        self.stage(path, Some(Arc::from(contents)));
-    }
-
-    /// Tombstones a path: absent from now on, even if the resolver
-    /// would produce it.
-    pub fn tombstone(&self, path: &str) {
-        self.stage(path, None);
-    }
-
-    fn stage(&self, path: &str, entry: Option<Arc<str>>) {
-        self.overlay
-            .write()
-            .expect("driver fs poisoned")
-            .insert(path.to_string(), entry);
-        if let Some(log) = self.changed.lock().expect("driver fs poisoned").as_mut() {
-            log.insert(path.to_string());
-        }
-    }
-
-    /// Installs (or clears) the fallback resolver.
-    pub fn set_resolver(&self, resolver: Option<ResolverFn>) {
-        *self.resolver.write().expect("driver fs poisoned") = resolver;
-        *self.changed.lock().expect("driver fs poisoned") = None;
-    }
-
-    /// Records an error on the last-error channel (newest wins).
-    pub fn record_error(&self, msg: String) {
-        *self.last_error.lock().expect("driver fs poisoned") = Some(msg);
-    }
-
-    /// The most recent error, if any (does not clear it).
-    pub fn last_error(&self) -> Option<String> {
-        self.last_error.lock().expect("driver fs poisoned").clone()
-    }
-}
-
-impl FileSystem for DriverFs {
-    fn read(&self, path: &str) -> Option<Arc<str>> {
-        if let Some(entry) = self.overlay.read().expect("driver fs poisoned").get(path) {
-            return entry.clone();
-        }
-        let resolver = self.resolver.read().expect("driver fs poisoned");
-        match resolver.as_ref()?(path) {
-            Ok(contents) => contents.map(Arc::from),
-            Err(e) => {
-                // A resolver failure must not take down the worker (or
-                // the embedding process): record it and treat the path
-                // as absent — the unit degrades to a missing-include
-                // diagnostic instead of a panic.
-                self.record_error(format!("resolver failed for {path}: {e}"));
-                None
-            }
-        }
-    }
-
-    /// The overlay paths staged since the previous call, sorted; `None`
-    /// while a resolver is installed and on the first call after a
-    /// resolver swap (see the type docs).
-    fn take_changes(&self) -> Option<Vec<String>> {
-        let log = self
-            .changed
-            .lock()
-            .expect("driver fs poisoned")
-            .replace(BTreeSet::new());
-        if self.resolver.read().expect("driver fs poisoned").is_some() {
-            return None;
-        }
-        log.map(|paths| paths.into_iter().collect())
-    }
-}
+/// The driver's file tree and its resolver type live beside the other
+/// trees in `superc_cpp`; they are re-exported here, where embedders
+/// meet them.
+pub use superc_cpp::{DriverFs, ResolverFn};
 
 /// Rolling driver statistics (the daemon's `stats` response).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -245,7 +133,7 @@ impl Driver {
     /// the first request.
     pub fn new(options: Options, jobs: usize) -> Driver {
         let fs = Arc::new(DriverFs::new());
-        let pool = CorpusRunner::new(&options, Arc::clone(&fs), jobs, false);
+        let pool = CorpusRunner::new(&options, Arc::clone(&fs), jobs);
         Driver {
             fs,
             pool,
@@ -255,20 +143,15 @@ impl Driver {
         }
     }
 
-    /// A driver whose resolver reads from disk under `root` (absolute
-    /// paths pass through), mirroring the CLI's `DiskFs` semantics —
-    /// the daemon's configuration.
+    /// A driver whose resolver reads from disk under `root` through the
+    /// CLI's own [`DiskFs`] (absolute paths pass through) — the daemon's
+    /// configuration.
     pub fn with_disk_root(options: Options, jobs: usize, root: &str) -> Driver {
         let driver = Driver::new(options, jobs);
-        let root = std::path::PathBuf::from(root);
-        driver.fs.set_resolver(Some(Box::new(move |path: &str| {
-            let full = if std::path::Path::new(path).is_absolute() {
-                std::path::PathBuf::from(path)
-            } else {
-                root.join(path)
-            };
-            Ok(std::fs::read_to_string(full).ok())
-        })));
+        let disk = DiskFs::new(root);
+        driver
+            .fs
+            .set_resolver(Some(Box::new(move |path: &str| Ok(disk.read_text(path)))));
         driver
     }
 
@@ -395,10 +278,8 @@ impl Driver {
             jobs: self.jobs,
             capture,
             lint,
-            no_shared_cache: false,
-            inject_panic: Vec::new(),
-            portability: false,
             warm: true,
+            ..CorpusOptions::default()
         }
     }
 

@@ -1,9 +1,11 @@
 //! File access for `#include` resolution.
 //!
 //! Real runs read from disk; tests and the synthetic corpus use an
-//! in-memory tree. The preprocessor only needs path-keyed reads — include
-//! *resolution* (search-path logic) lives here too so both backends share
-//! it.
+//! in-memory tree. The preprocessor only needs path-keyed reads. Include
+//! *resolution* (search-path logic) is one free function over an
+//! `exists` probe ([`resolve_include`]), so a preprocessor attached to a
+//! shared cache answers its probes from the same per-generation path
+//! rows its header loads read (see `crate::sharedcache`).
 //!
 //! File contents are handed out as `Arc<str>` so one file tree can be
 //! **shared read-only across worker threads**: the parallel corpus driver
@@ -17,64 +19,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Source of included files.
 pub trait FileSystem {
     /// Reads a file by exact path. `None` when absent.
     fn read(&self, path: &str) -> Option<Arc<str>>;
-
-    /// Resolves an include operand against the search paths.
-    ///
-    /// `system` is true for `<...>` includes; `including_dir` is the
-    /// directory of the including file (searched first for `"..."`).
-    /// Returns the resolved path.
-    fn resolve(
-        &self,
-        name: &str,
-        system: bool,
-        including_dir: &str,
-        search_paths: &[String],
-    ) -> Option<String> {
-        let mut failed = Vec::new();
-        self.resolve_probed(name, system, including_dir, search_paths, &mut failed)
-    }
-
-    /// [`FileSystem::resolve`] with probe recording: every candidate
-    /// path tried *before* the winning one is pushed onto `failed`, in
-    /// probe order (all of them when resolution fails outright). Those
-    /// failed probes are negative dependencies of the including unit —
-    /// creating a file at any of them later changes what this call
-    /// returns, which is exactly what the warm unit memo's fingerprints
-    /// must detect (see `superc::corpus`).
-    fn resolve_probed(
-        &self,
-        name: &str,
-        system: bool,
-        including_dir: &str,
-        search_paths: &[String],
-        failed: &mut Vec<String>,
-    ) -> Option<String> {
-        if !system && !including_dir.is_empty() {
-            let local = join(including_dir, name);
-            if self.read(&local).is_some() {
-                return Some(local);
-            }
-            failed.push(local);
-        }
-        if self.read(name).is_some() {
-            return Some(name.to_string());
-        }
-        failed.push(name.to_string());
-        for dir in search_paths {
-            let p = join(dir, name);
-            if self.read(&p).is_some() {
-                return Some(p);
-            }
-            failed.push(p);
-        }
-        None
-    }
 
     /// The paths whose contents may have changed (edited, created or
     /// removed) since the previous call, draining the tree's change log;
@@ -88,6 +38,58 @@ pub trait FileSystem {
     fn take_changes(&self) -> Option<Vec<String>> {
         None
     }
+}
+
+/// Resolves an include operand against the search paths, asking
+/// `exists` about each candidate path in probe order.
+///
+/// `system` is true for `<...>` includes; `including_dir` is the
+/// directory of the including file (searched first for `"..."`), then
+/// the bare name, then each search path. Returns the first candidate
+/// that exists. Every candidate tried *before* it is pushed onto
+/// `failed` (all of them when resolution fails outright): those failed
+/// probes are negative dependencies of the including unit, since
+/// creating a file at any of them later changes the answer, which is
+/// exactly what the warm unit memo's fingerprints must detect (see
+/// `superc::corpus`).
+///
+/// # Examples
+///
+/// ```
+/// use superc_cpp::{resolve_include, FileSystem, MemFs};
+/// let fs = MemFs::new().file("include/a.h", "#define A 1\n");
+/// let mut failed = Vec::new();
+/// let found = resolve_include(
+///     "a.h",
+///     true,
+///     "",
+///     &["include".to_string()],
+///     |p| fs.read(p).is_some(),
+///     &mut failed,
+/// );
+/// assert_eq!(found.as_deref(), Some("include/a.h"));
+/// assert_eq!(failed, ["a.h"]);
+/// ```
+pub fn resolve_include(
+    name: &str,
+    system: bool,
+    including_dir: &str,
+    search_paths: &[String],
+    mut exists: impl FnMut(&str) -> bool,
+    failed: &mut Vec<String>,
+) -> Option<String> {
+    let local = (!system && !including_dir.is_empty()).then(|| join(including_dir, name));
+    let candidates = local
+        .into_iter()
+        .chain(std::iter::once_with(|| name.to_string()))
+        .chain(search_paths.iter().map(|dir| join(dir, name)));
+    for candidate in candidates {
+        if exists(&candidate) {
+            return Some(candidate);
+        }
+        failed.push(candidate);
+    }
+    None
 }
 
 /// Shared references are file systems too: `std::thread::scope` workers
@@ -134,10 +136,7 @@ fn join(dir: &str, name: &str) -> String {
 /// use superc_cpp::{FileSystem, MemFs};
 /// let fs = MemFs::new().file("include/a.h", "#define A 1\n");
 /// assert!(fs.read("include/a.h").is_some());
-/// assert_eq!(
-///     fs.resolve("a.h", true, "", &["include".to_string()]),
-///     Some("include/a.h".to_string())
-/// );
+/// assert!(fs.read("a.h").is_none());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MemFs {
@@ -183,89 +182,133 @@ impl FileSystem for MemFs {
     }
 }
 
-/// An in-memory file tree with interior mutability: files can be
-/// edited **between batches** while pooled corpus workers keep `Arc`
-/// handles to the tree — the fixture behind warm-rerun tests and the
-/// incremental benchmark.
+/// A pluggable include resolver: given an exact path, produce the file
+/// contents (`Ok(None)` = absent; `Err` = resolver failure, recorded on
+/// the tree's last-error channel and treated as absent).
+pub type ResolverFn = Box<dyn Fn(&str) -> Result<Option<String>, String> + Send + Sync>;
+
+/// A mutable file tree with a change log: an in-memory overlay over an
+/// optional resolver callback. It backs the service driver, the
+/// warm-rerun tests and the incremental benchmark.
 ///
-/// Reads take a shared lock and bump a reference count; edits take the
-/// exclusive lock and log the path for [`FileSystem::take_changes`]. The
-/// coherence contract is the pooled runner's: edits only happen at batch
-/// boundaries (no batch in flight), so workers never observe a file
-/// changing mid-run.
+/// * Overlay entries win: [`DriverFs::set`] stages contents,
+///   [`DriverFs::tombstone`] makes a path absent even if the resolver
+///   would produce it (deleting a file the backing store still has).
+/// * Paths not in the overlay fall through to the resolver.
+///
+/// Without a resolver it is an editable in-memory tree; with one that
+/// reads disk, a disk tree. Pooled workers share one `Arc<DriverFs>`,
+/// and the coherence contract is the runner's: edits land only between
+/// batches.
+///
+/// Overlay edits are logged for [`FileSystem::take_changes`], so a
+/// resolver-less tree revalidates only the staged paths. The first call
+/// answers `None` (the tree's history before it is unknown), as does
+/// every call while a resolver is installed and the first call after
+/// one is installed or cleared: a resolver can change what it serves
+/// without telling anyone, so every path is revalidated.
 ///
 /// # Examples
 ///
 /// ```
-/// use superc_cpp::{FileSystem, MemFs, SharedMemFs};
-/// let fs = SharedMemFs::from_mem(&MemFs::new().file("a.h", "int a;\n"));
+/// use superc_cpp::{DriverFs, FileSystem};
+/// let fs = DriverFs::new();
+/// fs.set("a.h", "int a;\n");
+/// assert_eq!(fs.take_changes(), None, "the first batch revalidates all");
 /// fs.set("a.h", "int a2;\n"); // &self: edits through a shared handle
+/// fs.tombstone("b.h");
 /// assert_eq!(fs.read("a.h").as_deref(), Some("int a2;\n"));
+/// assert_eq!(fs.take_changes(), Some(vec!["a.h".to_string(), "b.h".to_string()]));
+/// assert_eq!(fs.take_changes(), Some(vec![]), "the log drains");
 /// ```
-#[derive(Debug, Default)]
-pub struct SharedMemFs {
-    tree: RwLock<MemTree>,
+#[derive(Default)]
+pub struct DriverFs {
+    /// `Some(contents)` = staged file; `None` = tombstone.
+    overlay: RwLock<HashMap<String, Option<Arc<str>>>>,
+    resolver: RwLock<Option<ResolverFn>>,
+    /// Overlay paths staged since the last `take_changes`; `None` while
+    /// the changes are unknown (a new tree, or a resolver swap since).
+    changed: Mutex<Option<BTreeSet<String>>>,
+    /// Most recent service-layer error (resolver failures, misuse).
+    last_error: Mutex<Option<String>>,
 }
 
-/// The files of a [`SharedMemFs`] and the paths edited since the last
-/// [`FileSystem::take_changes`], under one lock.
-#[derive(Debug, Default)]
-struct MemTree {
-    files: HashMap<String, Arc<str>>,
-    changed: BTreeSet<String>,
-}
-
-impl SharedMemFs {
-    /// An empty tree.
+impl DriverFs {
+    /// An empty tree with no resolver.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Copies a [`MemFs`] snapshot (contents are shared, not cloned).
-    pub fn from_mem(fs: &MemFs) -> Self {
-        let files = fs
-            .files
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect();
-        SharedMemFs {
-            tree: RwLock::new(MemTree {
-                files,
-                changed: BTreeSet::new(),
-            }),
+    /// Stages (adds or replaces) a file in the overlay.
+    pub fn set(&self, path: &str, contents: &str) {
+        self.stage(path, Some(Arc::from(contents)));
+    }
+
+    /// Tombstones a path: absent from now on, even if the resolver
+    /// would produce it.
+    pub fn tombstone(&self, path: &str) {
+        self.stage(path, None);
+    }
+
+    fn stage(&self, path: &str, entry: Option<Arc<str>>) {
+        self.overlay
+            .write()
+            .expect("driver fs poisoned")
+            .insert(path.to_string(), entry);
+        if let Some(log) = self.changed.lock().expect("driver fs poisoned").as_mut() {
+            log.insert(path.to_string());
         }
     }
 
-    /// Adds or replaces a file through a shared handle.
-    pub fn set(&self, path: &str, contents: &str) {
-        let mut tree = self.tree.write().expect("file tree lock poisoned");
-        tree.files.insert(path.to_string(), Arc::from(contents));
-        tree.changed.insert(path.to_string());
+    /// Installs (or clears) the fallback resolver.
+    pub fn set_resolver(&self, resolver: Option<ResolverFn>) {
+        *self.resolver.write().expect("driver fs poisoned") = resolver;
+        *self.changed.lock().expect("driver fs poisoned") = None;
     }
 
-    /// Removes a file; later reads of `path` see it as absent.
-    pub fn remove(&self, path: &str) {
-        let mut tree = self.tree.write().expect("file tree lock poisoned");
-        tree.files.remove(path);
-        tree.changed.insert(path.to_string());
+    /// Records an error on the last-error channel (newest wins).
+    pub fn record_error(&self, msg: String) {
+        *self.last_error.lock().expect("driver fs poisoned") = Some(msg);
+    }
+
+    /// The most recent error, if any (does not clear it).
+    pub fn last_error(&self) -> Option<String> {
+        self.last_error.lock().expect("driver fs poisoned").clone()
     }
 }
 
-impl FileSystem for SharedMemFs {
+impl FileSystem for DriverFs {
     fn read(&self, path: &str) -> Option<Arc<str>> {
-        self.tree
-            .read()
-            .expect("file tree lock poisoned")
-            .files
-            .get(path)
-            .cloned()
+        if let Some(entry) = self.overlay.read().expect("driver fs poisoned").get(path) {
+            return entry.clone();
+        }
+        let resolver = self.resolver.read().expect("driver fs poisoned");
+        match resolver.as_ref()?(path) {
+            Ok(contents) => contents.map(Arc::from),
+            Err(e) => {
+                // A resolver failure must not take down the worker (or
+                // the embedding process): record it and treat the path
+                // as absent — the unit degrades to a missing-include
+                // diagnostic instead of a panic.
+                self.record_error(format!("resolver failed for {path}: {e}"));
+                None
+            }
+        }
     }
 
-    /// Every path [`SharedMemFs::set`] or [`SharedMemFs::remove`]
-    /// touched since the previous call, sorted.
+    /// The overlay paths staged since the previous call, sorted; `None`
+    /// on the first call, while a resolver is installed, and on the
+    /// first call after a resolver swap (see the type docs).
     fn take_changes(&self) -> Option<Vec<String>> {
-        let mut tree = self.tree.write().expect("file tree lock poisoned");
-        Some(std::mem::take(&mut tree.changed).into_iter().collect())
+        let log = self
+            .changed
+            .lock()
+            .expect("driver fs poisoned")
+            .replace(BTreeSet::new());
+        if self.resolver.read().expect("driver fs poisoned").is_some() {
+            return None;
+        }
+        log.map(|paths| paths.into_iter().collect())
     }
 }
 
@@ -280,16 +323,29 @@ impl DiskFs {
     pub fn new(root: impl Into<PathBuf>) -> Self {
         DiskFs { root: root.into() }
     }
-}
 
-impl FileSystem for DiskFs {
-    fn read(&self, path: &str) -> Option<Arc<str>> {
+    /// Reads `path` (under the root unless absolute) as text, decoded
+    /// lossily: each invalid UTF-8 sequence becomes U+FFFD, so a stray
+    /// byte in a comment cannot hide a file, and one in code ends in
+    /// the lexer's `unrecognized character` error. `None` when the file
+    /// cannot be read.
+    pub fn read_text(&self, path: &str) -> Option<String> {
         let full = if Path::new(path).is_absolute() {
             PathBuf::from(path)
         } else {
             self.root.join(path)
         };
-        std::fs::read_to_string(full).ok().map(Arc::from)
+        let bytes = std::fs::read(full).ok()?;
+        Some(
+            String::from_utf8(bytes)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+        )
+    }
+}
+
+impl FileSystem for DiskFs {
+    fn read(&self, path: &str) -> Option<Arc<str>> {
+        self.read_text(path).map(Arc::from)
     }
 }
 
@@ -302,23 +358,7 @@ mod shared_fs_tests {
         fn assert_shareable<T: Send + Sync>() {}
         assert_shareable::<MemFs>();
         assert_shareable::<DiskFs>();
-    }
-
-    #[test]
-    fn shared_mem_fs_reports_each_edited_path_once() {
-        let fs = SharedMemFs::from_mem(&MemFs::new().file("a.h", "int a;\n"));
-        assert_eq!(fs.take_changes(), Some(vec![]));
-        fs.set("b.h", "int b;\n");
-        fs.set("a.h", "int a2;\n");
-        fs.remove("b.h");
-        let shared = Arc::new(fs);
-        assert_eq!(
-            shared.take_changes(),
-            Some(vec!["a.h".to_string(), "b.h".to_string()]),
-            "sorted, deduplicated, forwarded through Arc"
-        );
-        assert_eq!(shared.take_changes(), Some(vec![]), "the log drains");
-        assert_eq!(MemFs::new().take_changes(), None, "the default cannot tell");
+        assert_shareable::<DriverFs>();
     }
 
     #[test]
@@ -326,9 +366,25 @@ mod shared_fs_tests {
         let fs = MemFs::new().file("x.h", "int x;\n");
         let by_ref: &MemFs = &fs;
         assert_eq!(by_ref.read("x.h").as_deref(), Some("int x;\n"));
+        assert_eq!(MemFs::new().take_changes(), None, "the default cannot tell");
+    }
+
+    #[test]
+    fn resolution_probes_local_then_bare_then_search_paths() {
+        let fs = MemFs::new().file("src/q.h", "").file("inc/q.h", "");
+        let exists = |p: &str| fs.read(p).is_some();
+        let paths = ["none".to_string(), "inc/".to_string()];
+        let mut failed = Vec::new();
+        let quoted = resolve_include("q.h", false, "src", &paths, exists, &mut failed);
+        assert_eq!((quoted.as_deref(), failed.len()), (Some("src/q.h"), 0));
+        let system = resolve_include("q.h", true, "src", &paths, exists, &mut failed);
+        assert_eq!(system.as_deref(), Some("inc/q.h"));
+        assert_eq!(failed, ["q.h", "none/q.h"]);
+        failed.clear();
         assert_eq!(
-            by_ref.resolve("x.h", true, "", &[]),
-            Some("x.h".to_string())
+            resolve_include("r.h", false, "src", &paths, exists, &mut failed),
+            None
         );
+        assert_eq!(failed, ["src/r.h", "r.h", "none/r.h", "inc/r.h"]);
     }
 }

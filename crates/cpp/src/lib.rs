@@ -57,14 +57,14 @@ mod stats;
 
 pub use condexpr::normalize_expr_text;
 pub use elements::{Branch, Conditional, Element, HideSet, PTok};
-pub use files::{DiskFs, FileSystem, MemFs, SharedMemFs};
+pub use files::{resolve_include, DiskFs, DriverFs, FileSystem, MemFs, ResolverFn};
 pub use macrotable::{MacroConflict, MacroDef, MacroEntry, MacroTable};
 pub use preprocessor::{
     CompilationUnit, CondSite, DeadBranch, Diagnostic, PpError, PpOptions, Preprocessor, Severity,
     TestedMacro,
 };
 pub use profile::{Builtins, Profile, UndefIdentPolicy};
-pub use sharedcache::{SharedArtifact, SharedCache};
+pub use sharedcache::{FileView, SharedArtifact, SharedCache};
 pub use stats::PpStats;
 
 #[cfg(test)]

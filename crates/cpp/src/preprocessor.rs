@@ -14,10 +14,10 @@ use superc_util::{FastMap, FastSet};
 use crate::condexpr::{CondExprEntry, CondExprKey};
 use crate::directives::{detect_guard, detect_pragma_once, structure, RawItem, RawTest};
 use crate::elements::{self, Branch, Conditional, Element, PTok};
-use crate::files::FileSystem;
+use crate::files::{resolve_include, FileSystem};
 use crate::macrotable::{MacroDef, MacroTable};
 use crate::profile::{Profile, UndefIdentPolicy};
-use crate::sharedcache::{SharedArtifact, SharedCache};
+use crate::sharedcache::{FileView, SharedArtifact, SharedCache};
 use crate::stats::PpStats;
 
 /// A fatal preprocessing error (lexical error, unbalanced conditionals,
@@ -214,13 +214,9 @@ struct CachedFile {
     bytes: usize,
     /// Content hash of the bytes this entry was built from (0 when no
     /// shared cache is attached — hashing only pays for itself as a
-    /// cache key).
+    /// cache key). An entry serves a load only while it matches the
+    /// hash of the path's row in the current generation.
     hash: u64,
-    /// Last shared-cache generation this entry was validated in. Within
-    /// a generation files are immutable, so a matching stamp skips the
-    /// revalidation entirely; across generations (a pooled runner's
-    /// batch boundary) the entry re-earns its place by hash comparison.
-    seen_gen: std::cell::Cell<u64>,
 }
 
 /// A freshly lexed file plus the time it took to produce — the cost a
@@ -249,9 +245,11 @@ pub struct Preprocessor<F: FileSystem> {
     pub(crate) builtin_names: HashSet<String>,
     /// Per-worker (L1) cache of lexed+structured files, keyed by path.
     file_cache: HashMap<String, Rc<CachedFile>>,
-    /// Optional process-wide (L2) artifact cache shared across workers;
-    /// probed on L1 misses, fed on lexes. `None` runs the worker fully
-    /// isolated (the `--no-shared-cache` escape hatch).
+    /// Optional process-wide (L2) artifact cache shared across workers:
+    /// its path rows are this tool's only view of the tree, its
+    /// artifacts are probed on L1 misses and fed on lexes. `None` runs
+    /// the tool fully isolated, reading through [`FileSystem::read`]
+    /// (the one-shot cache-off reference).
     shared: Option<Arc<SharedCache>>,
     /// The current unit's include-closure dependency fingerprint: every
     /// file loaded so far (main file and headers, first occurrence
@@ -344,15 +342,6 @@ impl<F: FileSystem> Preprocessor<F> {
         self.shared = Some(cache);
     }
 
-    /// Drops the per-worker (L1) file cache. Without a shared cache
-    /// there is no generation protocol to revalidate entries against,
-    /// so a caller that may have seen the tree change (the pooled
-    /// runner with `--no-shared-cache`, at a batch boundary) clears it
-    /// wholesale instead.
-    pub fn invalidate_file_cache(&mut self) {
-        self.file_cache.clear();
-    }
-
     /// The include-closure dependency fingerprint of the last
     /// preprocessed unit: every file it loaded (main file plus headers)
     /// with its content hash, sorted by path. Empty when no shared
@@ -379,15 +368,25 @@ impl<F: FileSystem> Preprocessor<F> {
         neg
     }
 
-    /// The current content hash of `path`, via the shared cache's
-    /// per-generation memo (reading the file only on a memo miss).
-    /// `None` when no shared cache is attached or the file is missing —
-    /// either way a recorded fingerprint can't be revalidated.
+    /// The current content hash of `path`, from its row in the shared
+    /// cache (read only if no worker has filled the row this
+    /// generation). `None` when no shared cache is attached or the file
+    /// is missing — either way a recorded fingerprint can't be
+    /// revalidated.
     pub fn dep_hash(&self, path: &str) -> Option<u64> {
-        let shared = self.shared.as_ref()?;
-        shared
-            .current_hash(path, || self.fs.read(path))
-            .map(|(h, _)| h)
+        self.shared.as_ref()?;
+        self.view(path).map(|v| v.hash)
+    }
+
+    /// The generation's one view of `path`: its shared-cache row, which
+    /// reads the tree at most once per generation across all workers.
+    /// Without a shared cache, a direct read (hash 0: hashing only pays
+    /// for itself as a cache key).
+    fn view(&self, path: &str) -> Option<FileView> {
+        match &self.shared {
+            Some(shared) => shared.view(path, || self.fs.read(path)),
+            None => self.fs.read(path).map(|text| FileView { hash: 0, text }),
+        }
     }
 
     /// The macro table as of the last `preprocess` call (tests/inspection).
@@ -494,131 +493,89 @@ impl<F: FileSystem> Preprocessor<F> {
         }
     }
 
+    /// Loads `path`'s structured form for this unit. With a shared
+    /// cache, the path's row comes first: the L1 entry serves if it was
+    /// built from the row's bytes, else the L2 artifact for the row's
+    /// hash is thawed, else the row's bytes are lexed and published.
+    /// Without one there are no generations: an L1 entry never expires,
+    /// and the tree is read only on an L1 miss.
     fn load_cached(&mut self, path: &str) -> Result<Rc<CachedFile>, PpError> {
-        if let Some(f) = self.file_cache.get(path) {
-            let f = Rc::clone(f);
-            // Revalidate against the shared cache's generation: within
-            // one generation files are immutable and the stamp makes
-            // this free; across generations (a pooled runner's batch
-            // boundary) the entry must re-match the file's current
-            // content hash or be evicted. Without a shared cache there
-            // is no generation protocol (see `invalidate_file_cache`).
-            let mut valid = true;
-            if let Some(shared) = self.shared.clone() {
-                let gen = shared.generation();
-                if f.seen_gen.get() != gen {
-                    match shared.current_hash(path, || self.fs.read(path)) {
-                        Some((h, _)) if h == f.hash => f.seen_gen.set(gen),
-                        _ => valid = false,
-                    }
-                }
-            }
-            if valid {
-                // The macro table (and its guard registry) resets per
-                // unit; cached files must re-register their guards.
-                if let Some(g) = &f.guard {
-                    self.table.register_guard(g.clone());
-                }
-                self.stats.files_processed += 1;
-                self.stats.bytes_processed += f.bytes as u64;
-                self.record_dep(path, f.hash);
-                return Ok(f);
-            }
-            self.file_cache.remove(path);
-        }
-        // L2 probe, by content hash: another worker (or an earlier unit
-        // here) may already have lexed these bytes — under this path or
-        // any other with identical content. Thaw into a worker-local
-        // `Rc` tree under this worker's file id — everything downstream
-        // is then byte-identical with a cache-off run, only the lex is
-        // skipped.
-        if let Some(shared) = self.shared.clone() {
-            let gen = shared.generation();
-            let Some((hash, src)) = shared.current_hash(path, || self.fs.read(path)) else {
-                return Err(PpError {
-                    pos: SourcePos::default(),
-                    message: format!("file not found: {path}"),
-                });
-            };
-            if let Some(art) = shared.get(hash) {
-                let id = self.file_id(path);
-                let (items, guard) = art.thaw(id);
-                if let Some(g) = &guard {
-                    self.table.register_guard(g.clone());
-                }
-                let cached = Rc::new(CachedFile {
-                    items,
-                    guard,
-                    pragma_once: art.pragma_once,
-                    bytes: art.bytes,
-                    hash,
-                    seen_gen: std::cell::Cell::new(gen),
-                });
-                self.file_cache.insert(path.to_string(), Rc::clone(&cached));
-                self.stats.shared_cache_hits += 1;
-                self.stats.lex_nanos_saved += art.lex_nanos;
-                self.stats.files_processed += 1;
-                self.stats.bytes_processed += cached.bytes as u64;
-                self.record_dep(path, hash);
-                return Ok(cached);
-            }
-            // The hash memo hands back the contents when it had to read
-            // them; a memo hit re-reads here (once per file per
-            // generation — the artifact was present on every other
-            // probe).
-            let src = match src {
-                Some(s) => s,
-                None => self.fs.read(path).ok_or_else(|| PpError {
-                    pos: SourcePos::default(),
-                    message: format!("file not found: {path}"),
-                })?,
-            };
-            let lexed = self.lex_file(path, &src, hash, gen)?;
-            // Publish for other workers. The freeze runs inside
-            // `insert_with`'s write-locked incumbent re-check, so a
-            // racing worker pays it at most once (`duplicate_freezes`
-            // counts the avoided copies). Failed lexes never get here,
-            // so the error path stays identical to the cache-off
-            // pipeline.
-            self.stats.shared_cache_misses += 1;
-            shared.insert_with(hash, || {
-                SharedArtifact::freeze(
-                    &lexed.file.items,
-                    lexed.file.guard.as_ref(),
-                    lexed.file.bytes,
-                    lexed.produce_nanos,
-                )
-            });
-            let cached = Rc::new(lexed.file);
-            self.file_cache.insert(path.to_string(), Rc::clone(&cached));
-            self.stats.files_processed += 1;
-            self.stats.bytes_processed += cached.bytes as u64;
-            self.record_dep(path, hash);
-            return Ok(cached);
-        }
-        // No shared cache: no hashing, no fingerprints — the original
-        // fully-isolated pipeline.
-        let src = self.fs.read(path).ok_or_else(|| PpError {
+        let not_found = || PpError {
             pos: SourcePos::default(),
             message: format!("file not found: {path}"),
-        })?;
-        let lexed = self.lex_file(path, &src, 0, 0)?;
-        let cached = Rc::new(lexed.file);
-        self.file_cache.insert(path.to_string(), Rc::clone(&cached));
+        };
+        let view = match self.shared {
+            Some(_) => Some(self.view(path).ok_or_else(not_found)?),
+            None => None,
+        };
+        let hit = self
+            .file_cache
+            .get(path)
+            .filter(|f| view.as_ref().is_none_or(|v| v.hash == f.hash))
+            .cloned();
+        let cached = match hit {
+            Some(f) => f,
+            None => {
+                let view = view.or_else(|| self.view(path)).ok_or_else(not_found)?;
+                let cached = Rc::new(self.produce(path, view)?);
+                self.file_cache.insert(path.to_string(), Rc::clone(&cached));
+                cached
+            }
+        };
+        // The macro table (and its guard registry) resets per unit;
+        // every load re-registers the file's guard.
+        if let Some(g) = &cached.guard {
+            self.table.register_guard(g.clone());
+        }
         self.stats.files_processed += 1;
         self.stats.bytes_processed += cached.bytes as u64;
+        self.record_dep(path, cached.hash);
         Ok(cached)
     }
 
-    /// Lexes and structures one file into a [`CachedFile`], registering
-    /// its include guard and crediting lex time.
-    fn lex_file(
-        &mut self,
-        path: &str,
-        src: &str,
-        hash: u64,
-        gen: u64,
-    ) -> Result<LexedFile, PpError> {
+    /// Builds the L1 entry for `view`. The L2 is probed by content hash:
+    /// another worker (or an earlier unit here) may already have lexed
+    /// these bytes, under this path or any other with identical
+    /// content. A hit thaws into a worker-local `Rc` tree under this
+    /// worker's file id, so everything downstream is byte-identical
+    /// with a cache-off run and only the lex is skipped.
+    fn produce(&mut self, path: &str, view: FileView) -> Result<CachedFile, PpError> {
+        let Some(shared) = self.shared.clone() else {
+            return Ok(self.lex_file(path, &view.text, 0)?.file);
+        };
+        if let Some(art) = shared.get(view.hash) {
+            let (items, guard) = art.thaw(self.file_id(path));
+            self.stats.shared_cache_hits += 1;
+            self.stats.lex_nanos_saved += art.lex_nanos;
+            return Ok(CachedFile {
+                items,
+                guard,
+                pragma_once: art.pragma_once,
+                bytes: art.bytes,
+                hash: view.hash,
+            });
+        }
+        let lexed = self.lex_file(path, &view.text, view.hash)?;
+        // Publish for other workers. The freeze runs inside
+        // `insert_with`'s write-locked incumbent re-check, so a racing
+        // worker pays it at most once (`duplicate_freezes` counts the
+        // avoided copies). Failed lexes never get here, so the error
+        // path stays identical to the cache-off pipeline.
+        self.stats.shared_cache_misses += 1;
+        shared.insert_with(view.hash, || {
+            SharedArtifact::freeze(
+                &lexed.file.items,
+                lexed.file.guard.as_ref(),
+                lexed.file.bytes,
+                lexed.produce_nanos,
+            )
+        });
+        Ok(lexed.file)
+    }
+
+    /// Lexes and structures one file into a [`CachedFile`], crediting
+    /// lex time.
+    fn lex_file(&mut self, path: &str, src: &str, hash: u64) -> Result<LexedFile, PpError> {
         let id = self.file_id(path);
         let lex_start = std::time::Instant::now();
         let tokens = lex(src, id)?;
@@ -626,9 +583,6 @@ impl<F: FileSystem> Preprocessor<F> {
         let items = structure(&tokens)?;
         let produce_nanos = lex_start.elapsed().as_nanos() as u64;
         let guard = detect_guard(&items);
-        if let Some(g) = &guard {
-            self.table.register_guard(g.clone());
-        }
         let pragma_once = detect_pragma_once(&items);
         Ok(LexedFile {
             file: CachedFile {
@@ -637,7 +591,6 @@ impl<F: FileSystem> Preprocessor<F> {
                 pragma_once,
                 bytes: src.len(),
                 hash,
-                seen_gen: std::cell::Cell::new(gen),
             },
             produce_nanos,
         })
@@ -1062,16 +1015,19 @@ impl<F: FileSystem> Preprocessor<F> {
             .last()
             .and_then(|f| f.rsplit_once('/').map(|(d, _)| d.to_string()))
             .unwrap_or_default();
-        // Failed probes are negative dependencies: a file appearing at
-        // any of them would shadow (or supply) this include, so warm
-        // memo fingerprints must record them. Only tracked when the
-        // shared cache is on — without it there is no memo to guard.
+        // Each probe asks the candidate's row, so resolution and the
+        // load below see one read of the winning path. Failed probes
+        // are negative dependencies: a file appearing at any of them
+        // would shadow (or supply) this include, so warm memo
+        // fingerprints must record them. Only tracked when the shared
+        // cache is on — without it there is no memo to guard.
         let mut failed_probes = Vec::new();
-        let resolved = self.fs.resolve_probed(
+        let resolved = resolve_include(
             name,
             system,
             &including_dir,
             &self.opts.include_paths,
+            |p| self.view(p).is_some(),
             &mut failed_probes,
         );
         if self.shared.is_some() {

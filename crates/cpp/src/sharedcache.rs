@@ -23,27 +23,34 @@
 //! ([`SharedCache::content_hash`]), not by path. An edited file
 //! therefore misses naturally — its new bytes hash to a new key — while
 //! every unchanged file keeps hitting, and two paths with identical
-//! bytes share one artifact. A sharded path → hash **memo**
-//! ([`SharedCache::current_hash`]) keeps the hot path cheap: each
-//! path's bytes are read and hashed at most once per **generation**,
-//! and a missing path is recorded as absent, so it too is read at most
-//! once.
+//! bytes share one artifact.
+//!
+//! In front of the artifacts sits a sharded **path row** per path
+//! ([`SharedCache::view`]): what one read of the path produced in the
+//! current **generation** — absence, or the content hash and the bytes
+//! ([`FileView`]). The row is the generation's only view of the path:
+//! include resolution asks it whether a candidate exists, header loads
+//! check their worker-local entries against its hash and lex its bytes
+//! on a miss, and the unit memo revalidates fingerprints against it. So
+//! a path is read at most once per generation, whether it is present or
+//! absent, and an artifact is always built from the bytes its key
+//! hashes.
 //!
 //! Generations model batch boundaries in a long-lived process: within a
-//! generation, files are treated as immutable (the hash memo is
+//! generation, files are treated as immutable (the rows are
 //! authoritative). The pooled corpus runner starts a generation before
 //! every batch with [`SharedCache::next_generation_with`], passing the
 //! paths its tree reports as changed since the previous batch:
 //!
-//! * **A change set** drops exactly those paths' memo rows; every other
-//!   row is restamped into the new generation and stays trusted without
-//!   a read. The restamp costs nothing: rows carry the generation they
+//! * **A change set** drops exactly those paths' rows; every other row
+//!   is restamped into the new generation and stays trusted without a
+//!   read. The restamp costs nothing: rows carry the generation they
 //!   were filled in, and a row is trusted while that generation is at or
-//!   above the memo's *floor*, which a change set leaves in place.
+//!   above the cache's *floor*, which a change set leaves in place.
 //! * **No change set** (a tree that cannot enumerate its edits, such as
 //!   a disk tree or a resolver callback) raises the floor to the new
-//!   generation: every row expires and revalidates by rehash on first
-//!   touch. [`SharedCache::next_generation`] is this full form.
+//!   generation: every row expires and is read again on first touch.
+//!   [`SharedCache::next_generation`] is this full form.
 //!
 //! Artifact entries whose hash is no longer any trusted row's content
 //! ("dead hashes") are reclaimed by [`SharedCache::sweep`].
@@ -57,6 +64,10 @@
 //!   shard lock is held across the read, which may call into an
 //!   embedder's resolver. So a generation sees one snapshot of each
 //!   path, and `files_rehashed` counts distinct files.
+//! * **Rows keep the bytes.** A row holds the `Arc<str>` the tree handed
+//!   out, so over an in-memory tree it shares the tree's own copy, while
+//!   a disk or resolver tree keeps one copy per touched file until the
+//!   row is dropped or swept.
 //! * **Positions are restamped on thaw.** Token positions embed the
 //!   lexing worker's [`FileId`], which is a per-worker notion; the
 //!   frozen form stores only line/column and the thaw stamps the local
@@ -460,33 +471,43 @@ impl SharedArtifact {
 /// One lock-guarded slice of the content-hash → artifact map.
 type Shard = RwLock<FastMap<u64, Arc<SharedArtifact>>>;
 
-/// One path's row in the hash memo behind [`SharedCache::current_hash`]:
-/// the generation it was filled in, and a once-cell holding the content
-/// hash (`None` inside = absent). The cell is shared so a worker can
-/// wait for another worker's read without holding the shard lock.
-struct HashRow {
-    gen: u64,
-    hash: Arc<OnceLock<Option<u64>>>,
+/// What one read of a path produced: the content hash of its bytes and
+/// the bytes themselves. An absent path has no view.
+#[derive(Clone, Debug)]
+pub struct FileView {
+    /// [`SharedCache::content_hash`] of `text`.
+    pub hash: u64,
+    /// The bytes the tree handed out.
+    pub text: Arc<str>,
 }
 
-/// One lock-guarded slice of the path → [`HashRow`] memo.
-type HashShard = RwLock<FastMap<String, HashRow>>;
+/// One path's row behind [`SharedCache::view`]: the generation it was
+/// filled in, and a once-cell holding the read's outcome (`None` inside
+/// = absent). The cell is shared so a worker can wait for another
+/// worker's read without holding the shard lock.
+struct PathRow {
+    gen: u64,
+    view: Arc<OnceLock<Option<FileView>>>,
+}
 
-/// The sharded content-hash-keyed artifact map plus the path → hash
-/// memo. One instance per corpus run or pooled runner, shared by `Arc`
-/// across workers; see the module docs for the invalidation protocol.
+/// One lock-guarded slice of the path → [`PathRow`] map.
+type RowShard = RwLock<FastMap<String, PathRow>>;
+
+/// The sharded content-hash-keyed artifact map plus the path rows. One
+/// instance per corpus run or pooled runner, shared by `Arc` across
+/// workers; see the module docs for the invalidation protocol.
 pub struct SharedCache {
     shards: Box<[Shard]>,
-    hashes: Box<[HashShard]>,
+    rows: Box<[RowShard]>,
     /// Current generation; bumped by [`SharedCache::next_generation_with`]
     /// at batch boundaries.
     generation: AtomicU64,
-    /// Oldest generation whose hash-memo rows are still trusted: raised
-    /// to the current generation by a full invalidation, kept by a
+    /// Oldest generation whose path rows are still trusted: raised to
+    /// the current generation by a full invalidation, kept by a
     /// targeted one.
     floor: AtomicU64,
-    /// Files whose bytes were read and hashed (hash-memo misses on
-    /// present files; absent paths are not counted).
+    /// Files whose bytes were read and hashed (row fills for present
+    /// files; absent paths are not counted).
     rehashes: AtomicU64,
     /// Freezes avoided because [`SharedCache::insert_with`] found an
     /// incumbent under the write lock.
@@ -505,12 +526,12 @@ impl SharedCache {
         let shards = (0..SHARDS)
             .map(|_| RwLock::new(FastMap::default()))
             .collect();
-        let hashes = (0..SHARDS)
+        let rows = (0..SHARDS)
             .map(|_| RwLock::new(FastMap::default()))
             .collect();
         SharedCache {
             shards,
-            hashes,
+            rows,
             generation: AtomicU64::new(1),
             floor: AtomicU64::new(1),
             rehashes: AtomicU64::new(0),
@@ -533,10 +554,10 @@ impl SharedCache {
         &self.shards[(hash as usize) % SHARDS]
     }
 
-    fn hash_shard(&self, path: &str) -> &HashShard {
+    fn row_shard(&self, path: &str) -> &RowShard {
         use std::hash::BuildHasher;
         let h = FxBuildHasher::default().hash_one(path);
-        &self.hashes[(h as usize) % SHARDS]
+        &self.rows[(h as usize) % SHARDS]
     }
 
     /// The current generation.
@@ -544,9 +565,9 @@ impl SharedCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Starts a new generation in which every path's hash must be
-    /// revalidated against its current bytes before being trusted again
-    /// (the full form of [`SharedCache::next_generation_with`]).
+    /// Starts a new generation in which every path must be read again
+    /// before its row is trusted (the full form of
+    /// [`SharedCache::next_generation_with`]).
     pub fn next_generation(&self) -> u64 {
         self.next_generation_with(None)
     }
@@ -554,7 +575,7 @@ impl SharedCache {
     /// Starts a new generation. Called by the pooled corpus runner at
     /// each batch boundary (the only point where the file tree may have
     /// been edited) with the paths the tree reports as changed since the
-    /// previous boundary: their memo rows are dropped and every other
+    /// previous boundary: their path rows are dropped and every other
     /// row stays trusted. `None` — the tree cannot tell — expires every
     /// row.
     pub fn next_generation_with(&self, changed: Option<&[String]>) -> u64 {
@@ -562,7 +583,7 @@ impl SharedCache {
         match changed {
             Some(paths) => {
                 for p in paths {
-                    self.hash_shard(p)
+                    self.row_shard(p)
                         .write()
                         .expect("shared cache shard poisoned")
                         .remove(p.as_str());
@@ -573,68 +594,61 @@ impl SharedCache {
         gen
     }
 
-    /// The content hash of `path`'s current bytes, memoized per
-    /// generation. On a memo miss, `read` supplies the bytes (returning
-    /// `None` for a missing file); the freshly read contents are handed
-    /// back so the caller can lex them without a second read. Returns
-    /// `None` when the file does not exist; that answer is memoized too.
+    /// `path`'s view in the current generation: its row, filled by one
+    /// call of `read` (which returns `None` for a missing file) the
+    /// first time any worker asks this generation. `None` when the file
+    /// does not exist; that answer is kept too.
     ///
     /// Single flight: when another worker is already reading `path` in
     /// this generation, this call waits for its answer instead of
-    /// reading the file again (and gets no contents back).
-    pub fn current_hash(
-        &self,
-        path: &str,
-        read: impl FnOnce() -> Option<Arc<str>>,
-    ) -> Option<(u64, Option<Arc<str>>)> {
+    /// reading the file again.
+    pub fn view(&self, path: &str, read: impl FnOnce() -> Option<Arc<str>>) -> Option<FileView> {
         let floor = self.floor.load(Ordering::Acquire);
-        let shard = self.hash_shard(path);
+        let shard = self.row_shard(path);
         let cell = {
-            let memo = shard.read().expect("shared cache shard poisoned");
-            match memo.get(path).filter(|row| row.gen >= floor) {
-                Some(row) => match row.hash.get() {
-                    Some(&known) => return known.map(|h| (h, None)),
-                    None => Arc::clone(&row.hash),
+            let rows = shard.read().expect("shared cache shard poisoned");
+            match rows.get(path).filter(|row| row.gen >= floor) {
+                Some(row) => match row.view.get() {
+                    Some(known) => return known.clone(),
+                    None => Arc::clone(&row.view),
                 },
                 None => {
-                    drop(memo);
-                    let mut memo = shard.write().expect("shared cache shard poisoned");
-                    match memo.get(path).filter(|row| row.gen >= floor) {
-                        Some(row) => Arc::clone(&row.hash),
+                    drop(rows);
+                    let mut rows = shard.write().expect("shared cache shard poisoned");
+                    match rows.get(path).filter(|row| row.gen >= floor) {
+                        Some(row) => Arc::clone(&row.view),
                         None => {
                             let cell = Arc::new(OnceLock::new());
-                            let row = HashRow {
+                            let row = PathRow {
                                 gen: self.generation(),
-                                hash: Arc::clone(&cell),
+                                view: Arc::clone(&cell),
                             };
-                            memo.insert(path.to_string(), row);
+                            rows.insert(path.to_string(), row);
                             cell
                         }
                     }
                 }
             }
         };
-        let mut fresh = None;
-        let hash = *cell.get_or_init(|| {
-            let src = read()?;
+        cell.get_or_init(|| {
+            let text = read()?;
             self.rehashes.fetch_add(1, Ordering::Relaxed);
-            let h = SharedCache::content_hash(src.as_bytes());
-            fresh = Some(src);
-            Some(h)
-        });
-        hash.map(|h| (h, fresh))
+            let hash = SharedCache::content_hash(text.as_bytes());
+            Some(FileView { hash, text })
+        })
+        .clone()
     }
 
-    /// How many handles share `path`'s hash cell: the memo row plus
-    /// each worker inside [`SharedCache::current_hash`] for it. Lets a
-    /// test see a waiter join an in-flight read.
+    /// How many handles share `path`'s row cell: the row plus each
+    /// worker inside [`SharedCache::view`] for it. Lets a test see a
+    /// waiter join an in-flight read.
     #[cfg(test)]
-    pub(crate) fn hash_cell_holders(&self, path: &str) -> usize {
-        self.hash_shard(path)
+    pub(crate) fn row_holders(&self, path: &str) -> usize {
+        self.row_shard(path)
             .read()
             .expect("shared cache shard poisoned")
             .get(path)
-            .map_or(0, |row| Arc::strong_count(&row.hash))
+            .map_or(0, |row| Arc::strong_count(&row.view))
     }
 
     /// The artifact for this content hash, if some worker already
@@ -672,19 +686,22 @@ impl SharedCache {
     }
 
     /// Evicts artifacts for **dead hashes**: entries whose hash is not
-    /// the hash of any trusted row in the memo. Intended to run right
-    /// after a batch, when the trusted rows are the batch's files plus
-    /// every earlier file no change has touched since it was hashed;
-    /// artifacts for other files are evicted (they re-enter on next
-    /// use). Also drops the memo rows a full invalidation expired.
+    /// the hash of any trusted path row. Intended to run right after a
+    /// batch, when the trusted rows are the batch's files plus every
+    /// earlier file no change has touched since it was read; artifacts
+    /// for other files are evicted (they re-enter on next use). Also
+    /// drops the rows a full invalidation expired, with their bytes.
     /// Returns the number of artifacts evicted.
     pub fn sweep(&self) -> usize {
         let floor = self.floor.load(Ordering::Acquire);
         let mut live: FastSet<u64> = FastSet::default();
-        for hs in &self.hashes {
-            let mut memo = hs.write().expect("shared cache shard poisoned");
-            memo.retain(|_, row| row.gen >= floor && row.hash.get().is_some());
-            live.extend(memo.values().filter_map(|row| *row.hash.get()?));
+        for rs in &self.rows {
+            let mut rows = rs.write().expect("shared cache shard poisoned");
+            rows.retain(|_, row| row.gen >= floor && row.view.get().is_some());
+            live.extend(
+                rows.values()
+                    .filter_map(|row| row.view.get()?.as_ref().map(|v| v.hash)),
+            );
         }
         let mut evicted = 0;
         for s in &self.shards {
@@ -696,7 +713,7 @@ impl SharedCache {
         evicted
     }
 
-    /// Files read-and-hashed so far (hash-memo misses on present files,
+    /// Files read and hashed so far (row fills for present files,
     /// cumulative).
     pub fn rehashes(&self) -> u64 {
         self.rehashes.load(Ordering::Relaxed)

@@ -941,30 +941,34 @@ fn hash_memo_rereads_only_across_generations() {
         reads.set(reads.get() + 1);
         Some(std::sync::Arc::<str>::from("int a;\n"))
     };
-    let (h1, src1) = cache.current_hash("a.h", read).expect("exists");
+    let v1 = cache.view("a.h", read).expect("exists");
     assert_eq!(reads.get(), 1);
-    assert!(src1.is_some(), "fresh read handed back to the caller");
-    // Same generation: memoized, no read, no contents handed back.
-    let (h2, src2) = cache.current_hash("a.h", read).expect("exists");
-    assert_eq!((h2, reads.get()), (h1, 1));
-    assert!(src2.is_none());
+    assert_eq!(v1.hash, SharedCache::content_hash(b"int a;\n"));
+    // Same generation: the row answers, with the first read's bytes.
+    let v2 = cache.view("a.h", read).expect("exists");
+    assert_eq!((v2.hash, reads.get()), (v1.hash, 1));
+    assert!(
+        std::sync::Arc::ptr_eq(&v1.text, &v2.text),
+        "one read's bytes"
+    );
     assert_eq!(cache.rehashes(), 1);
-    // New generation: the memo is stale, the file is re-read; changed
+    // New generation: the row is stale, the file is re-read; changed
     // bytes hash to a new key.
     cache.next_generation();
     let edited = || Some(std::sync::Arc::<str>::from("int a2;\n"));
-    let (h3, _) = cache.current_hash("a.h", edited).expect("exists");
-    assert_ne!(h3, h1, "edited contents must change the key");
+    let v3 = cache.view("a.h", edited).expect("exists");
+    assert_ne!(v3.hash, v1.hash, "edited contents must change the key");
+    assert_eq!(&*v3.text, "int a2;\n");
     assert_eq!(cache.rehashes(), 2);
-    // Missing files are memoized as absent: one read per generation,
-    // and no rehash is counted for them.
+    // Missing files are kept as absent: one read per generation, and
+    // no rehash is counted for them.
     let absent_reads = std::cell::Cell::new(0u32);
     let absent = || {
         absent_reads.set(absent_reads.get() + 1);
         None
     };
-    assert!(cache.current_hash("gone.h", absent).is_none());
-    assert!(cache.current_hash("gone.h", absent).is_none());
+    assert!(cache.view("gone.h", absent).is_none());
+    assert!(cache.view("gone.h", absent).is_none());
     assert_eq!((absent_reads.get(), cache.rehashes()), (1, 2));
 }
 
@@ -979,28 +983,28 @@ fn targeted_generation_rereads_only_the_changed_paths() {
             Some(std::sync::Arc::<str>::from(text))
         }
     };
-    let (a1, _) = cache.current_hash("a.h", read("int a;\n")).expect("a.h");
-    cache.current_hash("b.h", read("int b;\n")).expect("b.h");
-    assert!(cache.current_hash("new.h", || None).is_none());
+    let a1 = cache.view("a.h", read("int a;\n")).expect("a.h");
+    cache.view("b.h", read("int b;\n")).expect("b.h");
+    assert!(cache.view("new.h", || None).is_none());
     assert_eq!(reads.get(), 2);
 
     // b.h was edited and new.h created: only their rows are dropped.
     cache.next_generation_with(Some(&["b.h".to_string(), "new.h".to_string()]));
-    let (a2, src) = cache.current_hash("a.h", read("unused")).expect("a.h");
+    let a2 = cache.view("a.h", read("unused")).expect("a.h");
     assert_eq!(
-        (a2, src.is_none(), reads.get()),
-        (a1, true, 2),
-        "a.h restamped"
+        (a2.hash, &*a2.text, reads.get()),
+        (a1.hash, "int a;\n", 2),
+        "a.h restamped with its bytes"
     );
-    cache.current_hash("b.h", read("int b2;\n")).expect("b.h");
+    cache.view("b.h", read("int b2;\n")).expect("b.h");
     cache
-        .current_hash("new.h", read("int n;\n"))
+        .view("new.h", read("int n;\n"))
         .expect("new.h now exists");
     assert_eq!((reads.get(), cache.rehashes()), (4, 4));
 
     // No change set: every row expires.
     cache.next_generation_with(None);
-    cache.current_hash("a.h", read("int a;\n")).expect("a.h");
+    cache.view("a.h", read("int a;\n")).expect("a.h");
     assert_eq!(reads.get(), 5, "full invalidation rereads a.h");
 }
 
@@ -1017,9 +1021,9 @@ fn concurrent_misses_on_one_path_read_it_once() {
     let first = {
         let (cache, reads) = (cache.clone(), reads.clone());
         std::thread::spawn(move || {
-            cache.current_hash("hot.h", || {
+            cache.view("hot.h", || {
                 reads.fetch_add(1, Ordering::SeqCst);
-                while cache.hash_cell_holders("hot.h") < 3 {
+                while cache.row_holders("hot.h") < 3 {
                     std::thread::yield_now();
                 }
                 Some(Arc::<str>::from("int hot;\n"))
@@ -1029,20 +1033,20 @@ fn concurrent_misses_on_one_path_read_it_once() {
     while reads.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now();
     }
-    let second = cache.current_hash("hot.h", || {
+    let second = cache.view("hot.h", || {
         reads.fetch_add(1, Ordering::SeqCst);
         Some(Arc::<str>::from("int hot;\n"))
     });
-    let (h1, src1) = first.join().expect("first reader").expect("exists");
-    let (h2, src2) = second.expect("exists");
+    let v1 = first.join().expect("first reader").expect("exists");
+    let v2 = second.expect("exists");
     assert_eq!(reads.load(Ordering::SeqCst), 1, "one read for two misses");
     assert_eq!(cache.rehashes(), 1);
-    assert_eq!(h1, h2);
+    assert_eq!(v1.hash, v2.hash);
     assert!(
-        src1.is_some() && src2.is_none(),
-        "only the reader gets bytes"
+        Arc::ptr_eq(&v1.text, &v2.text),
+        "the waiter gets the reader's bytes"
     );
-    assert_eq!(cache.hash_cell_holders("hot.h"), 1, "waiters let go");
+    assert_eq!(cache.row_holders("hot.h"), 1, "waiters let go");
 }
 
 #[test]
@@ -1078,12 +1082,9 @@ fn warm_worker_revalidates_its_l1_across_generations() {
     // One worker, two batches: the worker's L1 entry for an edited file
     // must be evicted at the generation boundary (hash mismatch) while
     // the unchanged header's entry revalidates in place.
-    let fs = {
-        let mem = MemFs::new()
-            .file("main.c", "#include \"g.h\"\nint x = N;\n")
-            .file("g.h", "#define N 1\n");
-        std::sync::Arc::new(crate::SharedMemFs::from_mem(&mem))
-    };
+    let fs = std::sync::Arc::new(crate::DriverFs::new());
+    fs.set("main.c", "#include \"g.h\"\nint x = N;\n");
+    fs.set("g.h", "#define N 1\n");
     let cache = std::sync::Arc::new(SharedCache::new());
     let ctx = CondCtx::new(CondBackend::Bdd);
     let opts = PpOptions {

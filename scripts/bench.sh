@@ -69,8 +69,8 @@ self_gates() {
 
     # Shared-cache gates on the header-dominated workload pair: the L2
     # cache must actually fire (hit-rate floor) and must pay for itself
-    # (cache-on throughput at least CACHE_RATIO_FLOOR x the
-    # --no-shared-cache run).
+    # (cache-on throughput at least CACHE_RATIO_FLOOR x the one-shot
+    # cache-off run, `full_headers_nocache`).
     local HIT_RATE_FLOOR="${HIT_RATE_FLOOR:-0.15}"
     local CACHE_RATIO_FLOOR="${CACHE_RATIO_FLOOR:-1.3}"
     local hit_rate on_rate off_rate ratio

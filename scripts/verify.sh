@@ -105,6 +105,24 @@ for fp in fastpath no-fastpath; do
         fi
     done
 done
+# Absent path rows through the CLI on a disk tree: eight empty search
+# dirs ahead of the real one make every <...> include fail eight more
+# probes before it resolves, and the report must not change.
+EMPTY_DIRS=()
+for d in 1 2 3 4 5 6 7 8; do
+    mkdir -p "$KGEN_DIR/empty$d"
+    EMPTY_DIRS+=(-I "empty$d")
+done
+out=$(cd "$KGEN_DIR" && "$ROBUST_BIN" --jobs 2 "${EMPTY_DIRS[@]}" \
+    -I include src/*.c 2>&1) || {
+    echo "verify: kernel corpus failed behind empty -I dirs" >&2
+    exit 1
+}
+if [[ "$out" != "$ref" ]]; then
+    echo "verify: kernel corpus output changed behind empty -I dirs" >&2
+    diff <(echo "$ref") <(echo "$out") >&2 || true
+    exit 1
+fi
 echo "verify: kernel corpus smoke OK"
 
 # --stats leg: every `--stats` row names one declared counter with its

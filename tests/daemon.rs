@@ -17,8 +17,8 @@ use superc::analyze::render::json_str;
 use superc::analyze::LintOptions;
 use superc::cli::{self, LintFormat};
 use superc::corpus::{process_corpus, process_corpus_profiles, CorpusOptions};
-use superc::service::{daemon, Driver};
-use superc::{DiskFs, Options, Profile, SharedMemFs};
+use superc::service::{daemon, Driver, DriverFs};
+use superc::{DiskFs, Options, Profile};
 use superc_util::json::Json;
 
 /// The fixture tree: a leaf header only `a.c` includes and a two-level
@@ -262,7 +262,7 @@ fn resolverless_driver_revalidates_only_the_staged_paths() {
     for jobs in [1usize, 2, 8] {
         let mut driver = Driver::new(Options::default(), jobs);
         // The same tree for fresh one-shot references, edited in step.
-        let mirror = SharedMemFs::new();
+        let mirror = DriverFs::new();
         for (path, contents) in FIXTURE {
             driver
                 .set_file(path, contents)
@@ -327,7 +327,7 @@ fn resolverless_driver_revalidates_only_the_staged_paths() {
         check(&mut driver, "shadowing file", 1.0, 1.0);
         // Removing it sends a.c back to include/leaf.h, whose hash is
         // still trusted: a missing path is not a rehash.
-        mirror.remove("leaf.h");
+        mirror.tombstone("leaf.h");
         request(
             &mut driver,
             "{\"cmd\":\"edit\",\"path\":\"leaf.h\",\"remove\":true}",

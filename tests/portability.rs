@@ -248,7 +248,7 @@ fn pooled_runner_matches_one_shot_cross_profile() {
     assert_eq!(
         one_shot.behavior_counters(),
         {
-            let mut pool = CorpusRunner::new(&Options::default(), Arc::new(fixture_fs()), 2, false);
+            let mut pool = CorpusRunner::new(&Options::default(), Arc::new(fixture_fs()), 2);
             let first = pool.run_profiles(&files, &profiles, &copts(2, false));
             let again = pool.run_profiles(&files, &profiles, &copts(2, false));
             assert_eq!(
@@ -376,7 +376,7 @@ fn pooled_same_name_profiles_run_on_their_own_builtins() {
     let units = vec!["a.c".to_string()];
     let (custom, shipped) = (gcc3_named_gcc_linux(), Profile::gcc_linux());
     for jobs in [1, 2, 8] {
-        let mut pool = CorpusRunner::new(&Options::default(), Arc::new(fs.clone()), jobs, false);
+        let mut pool = CorpusRunner::new(&Options::default(), Arc::new(fs.clone()), jobs);
         let first = pool.run_profiles(&units, slice::from_ref(&custom), &unparse_copts(jobs));
         assert_eq!(
             first.runs[0].units[0].unparses,

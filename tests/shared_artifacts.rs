@@ -6,9 +6,9 @@
 //!
 //! * the LALR tables are constructed exactly once no matter how many
 //!   pools, workers, or batches run (`tables_built` counter hook);
-//! * the pooled [`CorpusRunner`] obeys the same byte-identity contract
-//!   as the one-shot driver across the jobs × shared-cache matrix,
-//!   including warm reruns on the same pool;
+//! * the pooled [`CorpusRunner`], which always carries the shared
+//!   cache, matches the one-shot driver's cache-off reference at every
+//!   job count, including warm reruns on the same pool;
 //! * a poisoned worker rebuilds only its mutable layer — the shared
 //!   tables are not rebuilt, and the pool's subsequent output is
 //!   unchanged.
@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use superc::analyze::LintOptions;
-use superc::corpus::{Capture, CorpusOptions, CorpusRunner};
+use superc::corpus::{process_corpus, Capture, CorpusOptions, CorpusRunner};
 use superc::counters::Class;
 use superc::{MemFs, Options, PpOptions, Profile};
 use superc_kernelgen::{generate, Corpus, CorpusSpec};
@@ -58,7 +58,7 @@ fn parse_tables_are_built_exactly_once_per_process() {
     // worker's parser must share the process-wide tables rather than
     // building its own copy.
     for jobs in [1, 2, 8] {
-        let mut pool = CorpusRunner::new(&options(), Arc::clone(&fs), jobs, false);
+        let mut pool = CorpusRunner::new(&options(), Arc::clone(&fs), jobs);
         for _ in 0..2 {
             let report = pool.run(&corpus.units, &copts());
             assert!(report.parsed_units() > 0, "jobs={jobs}: nothing parsed");
@@ -75,25 +75,23 @@ fn parse_tables_are_built_exactly_once_per_process() {
 fn pooled_runs_match_across_jobs_and_cache_settings() {
     let corpus = corpus();
     let fs = Arc::new(corpus.fs.clone());
-    let mut base_pool = CorpusRunner::new(&options(), Arc::clone(&fs), 1, false);
-    let base = base_pool.run(&corpus.units, &copts());
+    let cache_off = CorpusOptions {
+        no_shared_cache: true,
+        ..copts()
+    };
+    let base = process_corpus(&*fs, &corpus.units, &options(), &cache_off);
     assert!(base.parsed_units() > 0, "corpus produced no ASTs");
     assert!(base.lint_count() > 0, "corpus produced no lint findings");
     for jobs in [1, 2, 8] {
-        for no_cache in [false, true] {
-            let mut pool = CorpusRunner::new(&options(), Arc::clone(&fs), jobs, no_cache);
-            // Two batches per pool: the second run reuses warm workers
-            // (hot L1 caches, grown interners) and must still be
-            // byte-identical to the cold one-shot base.
-            for pass in 0..2 {
-                let report = pool.run(&corpus.units, &copts());
-                let label = format!(
-                    "jobs={jobs} cache={} pass={pass}",
-                    if no_cache { "off" } else { "on" }
-                );
-                base.check_same(&report, SAME_MODE)
-                    .unwrap_or_else(|d| panic!("{label}: {d}"));
-            }
+        let mut pool = CorpusRunner::new(&options(), Arc::clone(&fs), jobs);
+        // Two batches per pool: the second run reuses warm workers
+        // (hot L1 caches, grown interners) and must still be
+        // byte-identical to the cold one-shot base.
+        for pass in 0..2 {
+            let report = pool.run(&corpus.units, &copts());
+            let label = format!("jobs={jobs} pass={pass}");
+            base.check_same(&report, SAME_MODE)
+                .unwrap_or_else(|d| panic!("{label}: {d}"));
         }
     }
 }
@@ -107,7 +105,7 @@ fn poisoned_worker_rebuilds_only_the_mutable_layer() {
             .file("b.c", "int b;\n"),
     );
     let units = vec!["a.c".to_string(), "poison.c".to_string(), "b.c".to_string()];
-    let mut pool = CorpusRunner::new(&Options::default(), Arc::clone(&fs), 2, false);
+    let mut pool = CorpusRunner::new(&Options::default(), Arc::clone(&fs), 2);
 
     let clean = pool.run(&units, &CorpusOptions::default());
     assert_eq!(clean.fatal_units(), 0);

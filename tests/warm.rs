@@ -15,9 +15,10 @@
 //! * one profile ([`CorpusRunner::run`]) and a three-profile grid
 //!   ([`CorpusRunner::run_profiles`]), each alone and both alternating
 //!   on one pool;
-//! * both revalidation paths: a [`SharedMemFs`], which reports its
-//!   changes so a batch revalidates only the edited paths, and an
-//!   opaque tree that cannot, so every batch revalidates every path.
+//! * both revalidation paths: a resolver-less [`DriverFs`], which
+//!   reports its changes so a batch revalidates only the edited paths,
+//!   and an opaque tree that cannot, so every batch revalidates every
+//!   path.
 //!
 //! Every cell asserts three things: the warm report matches a fresh
 //! cold reference over the edited tree (every unit's
@@ -33,7 +34,8 @@ use superc::corpus::{
     process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusRunner,
 };
 use superc::counters::Class;
-use superc::{FileSystem, Options, Profile, SharedCache, SharedMemFs};
+use superc::service::DriverFs;
+use superc::{FileSystem, Options, Profile, SharedCache};
 
 /// Three units over a small header tree:
 ///
@@ -41,8 +43,8 @@ use superc::{FileSystem, Options, Profile, SharedCache, SharedMemFs};
 /// * `include/deep.h` → `include/deeper.h` — a two-level chain included
 ///   by every unit;
 /// * each unit also has private content so their reports differ.
-fn fixture() -> SharedMemFs {
-    let fs = SharedMemFs::new();
+fn fixture() -> DriverFs {
+    let fs = DriverFs::new();
     fs.set("include/leaf.h", "int leaf_decl(int);\n#define LEAF 1\n");
     fs.set(
         "include/deep.h",
@@ -77,7 +79,7 @@ fn units() -> Vec<String> {
 /// A tree that cannot enumerate its changes: it implements only
 /// `read`, so `take_changes` keeps its default `None` and every batch
 /// revalidates every path, as over a disk tree or a resolver.
-struct OpaqueFs(SharedMemFs);
+struct OpaqueFs(DriverFs);
 
 impl FileSystem for OpaqueFs {
     fn read(&self, path: &str) -> Option<Arc<str>> {
@@ -96,7 +98,7 @@ trait Tree: FileSystem + Send + Sync + Sized + 'static {
     fn edit(&self, path: &str, contents: &str);
 }
 
-impl Tree for SharedMemFs {
+impl Tree for DriverFs {
     const NAME: &'static str = "reporting";
     const REPORTS_CHANGES: bool = true;
     fn fixture() -> Arc<Self> {
@@ -229,7 +231,7 @@ const SAME_MODE: &[Class] = &[Class::Behavior, Class::Mode];
 
 #[test]
 fn warm_rerun_matches_cold_run_across_edit_jobs_fastpath_matrix() {
-    warm_matrix::<SharedMemFs>();
+    warm_matrix::<DriverFs>();
     warm_matrix::<OpaqueFs>();
 }
 
@@ -245,7 +247,7 @@ fn warm_matrix<T: Tree>() {
                 );
                 let opts = options(fastpath);
                 let fs = T::fixture();
-                let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs, false);
+                let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs);
 
                 // Batch 1 fills the memo: nothing can hit yet.
                 let first = pool.run(&units, &copts(true));
@@ -298,7 +300,7 @@ fn warm_matrix<T: Tree>() {
 
 #[test]
 fn warm_profiles_rerun_matches_cold_grid() {
-    warm_profiles_matrix::<SharedMemFs>();
+    warm_profiles_matrix::<DriverFs>();
     warm_profiles_matrix::<OpaqueFs>();
 }
 
@@ -318,7 +320,7 @@ fn warm_profiles_matrix<T: Tree>() {
                 );
                 let opts = options(fastpath);
                 let fs = T::fixture();
-                let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs, false);
+                let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs);
 
                 let first = pool.run_profiles(&units, &profiles, &copts(true));
                 assert_eq!(first.runs[0].unit_memo_hits, 0, "{label}: batch 1 hits");
@@ -382,7 +384,7 @@ fn warm_profiles_matrix<T: Tree>() {
 
 #[test]
 fn one_pool_serves_single_profile_and_grid_batches_across_an_edit() {
-    mixed_shapes_matrix::<SharedMemFs>();
+    mixed_shapes_matrix::<DriverFs>();
     mixed_shapes_matrix::<OpaqueFs>();
 }
 
@@ -407,7 +409,7 @@ fn mixed_shapes_matrix<T: Tree>() {
             let label = format!("tree={} edit={} jobs={jobs}", T::NAME, edit.label);
             let opts = options(true);
             let fs = T::fixture();
-            let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs, false);
+            let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs);
             let single = |pool: &mut CorpusRunner<T>, batch: &str, hits: u64| {
                 let warm = pool.run(&units, &copts(true));
                 let cold = process_corpus(&*fs, &units, &opts, &copts(false));
@@ -461,7 +463,7 @@ fn near_identical_header_edit_is_not_a_stale_replay() {
         SharedCache::content_hash(A.as_bytes()),
         SharedCache::content_hash(b.as_bytes())
     );
-    collision_edit::<SharedMemFs>(A, &b);
+    collision_edit::<DriverFs>(A, &b);
     collision_edit::<OpaqueFs>(A, &b);
 }
 
@@ -479,7 +481,7 @@ fn collision_edit<T: Tree>(before: &str, after: &str) {
     let fs = T::fixture();
     fs.edit("include/sub62.h", before);
     fs.edit("u.c", "#include <sub62.h>\nint u_fn(void) { return 0; }\n");
-    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 1, false);
+    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 1);
     pool.run(&units, &copts);
     fs.edit("include/sub62.h", after);
     let warm = pool.run(&units, &copts);
@@ -513,7 +515,7 @@ fn budget_tripped_units_are_never_memoized() {
     // partial/tripped units must recompute on every warm batch.
     opts.budgets.max_steps = 1;
     let fs = Arc::new(fixture());
-    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2, false);
+    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2);
     let first = pool.run(&units, &copts(true));
     assert_eq!(first.partial_units(), 3, "budget must trip every unit");
     let second = pool.run(&units, &copts(true));
@@ -529,7 +531,7 @@ fn failed_units_are_never_memoized() {
     let fs = Arc::new(fixture());
     fs.set("broken.c", "#error this unit is intentionally fatal\n");
     let units = vec!["a.c".to_string(), "broken.c".to_string()];
-    let mut pool = CorpusRunner::new(&options(true), Arc::clone(&fs), 2, false);
+    let mut pool = CorpusRunner::new(&options(true), Arc::clone(&fs), 2);
     let first = pool.run(&units, &copts(true));
     assert_eq!(first.failed_units(), 1);
     let second = pool.run(&units, &copts(true));
@@ -542,36 +544,13 @@ fn failed_units_are_never_memoized() {
 }
 
 #[test]
-fn no_shared_cache_pool_stays_edit_correct() {
-    // Without the shared cache there is no generation protocol and no
-    // memo; the pool must still see edits (workers drop their L1 caches
-    // at batch boundaries) and produce cold-identical output.
-    let units = units();
-    let opts = options(true);
-    let fs = Arc::new(fixture());
-    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2, true);
-    let first = pool.run(&units, &copts(true));
-    assert_eq!(first.unit_memo_hits + first.unit_memo_misses, 0);
-    fs.set(
-        "include/deeper.h",
-        "#define WIDTH 99\nint deeper_decl(void);\n",
-    );
-    let second = pool.run(&units, &copts(true));
-    assert_eq!(second.unit_memo_hits, 0, "no shared cache, no memo");
-    let reference = process_corpus(&*fs, &units, &opts, &copts(false));
-    reference
-        .check_same(&second, SAME_MODE)
-        .unwrap_or_else(|d| panic!("no-shared-cache warm pool: {d}"));
-}
-
-#[test]
 fn warm_sweep_evicts_dead_artifacts() {
     let units = units();
     let opts = options(true);
     let fs = Arc::new(fixture());
-    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2, false);
+    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2);
     pool.run(&units, &copts(true));
-    let cache = Arc::clone(pool.shared_cache().expect("pool has a shared cache"));
+    let cache = Arc::clone(pool.shared_cache());
     let cold_len = cache.len();
     assert!(cold_len > 0, "cold batch must populate the cache");
     // Edit one header: its old artifact is dead after the next batch's
