@@ -1,5 +1,6 @@
-//! Shared harness for the experiment binaries and criterion benches that
-//! regenerate the paper's tables and figures (§6).
+//! Shared harness for the experiment binaries that regenerate the
+//! paper's tables and figures (§6), and the corpora of `bench_snapshot`,
+//! the performance gate.
 //!
 //! Each binary prints one artifact:
 //!
@@ -109,8 +110,8 @@ pub fn full_headers_corpus() -> Corpus {
         let mut text = String::new();
         // Rotate the include order per unit so workers that start at the
         // same instant lex *different* headers first and then hit each
-        // other's freshly inserted artifacts, instead of racing to lex
-        // the same header twice.
+        // other's freshly published artifacts, instead of all waiting
+        // for one worker's lex of the same header.
         for i in 0..HEADERS {
             let h = (u + i) % HEADERS;
             text.push_str(&format!("#include \"fh{h}.h\"\n"));
@@ -135,7 +136,7 @@ pub fn full_headers_corpus() -> Corpus {
 
 /// A header-dominated corpus with profile-sensitive conditionals, for
 /// the cross-profile matrix workload (`bench_snapshot`'s `fig9_profiles`
-/// / `fig9_profiles1` pair and its PROFILES_MAX cost gate). Most bytes
+/// / `fig9_profiles1` pair and its 2.4× cost cap). Most bytes
 /// live in comment-heavy shared headers whose pre-expansion artifacts
 /// are profile-independent, so the shared L2 cache amortizes lexing
 /// across the profile matrix: analyzing N profiles should cost far less
@@ -208,7 +209,7 @@ pub fn profiles_corpus() -> Corpus {
 /// queue, and drop back in. Hand-built (not `kernelgen`) so the
 /// conditional density is controlled: this is the workload behind
 /// `bench_snapshot`'s `fig9_condfree` / `fig9_condfree_nofp` pair and
-/// its FASTPATH_MIN speedup gate.
+/// its 1.25× speedup gate.
 pub fn condfree_corpus() -> Corpus {
     const UNITS: usize = 16;
     const FUNCS: usize = 10;
@@ -262,43 +263,6 @@ pub fn condfree_corpus() -> Corpus {
 /// instead of killing the whole experiment run.
 pub fn process_corpus(corpus: &Corpus, options: Options) -> Vec<ProcessedUnit> {
     process_corpus_with_tool(corpus, options).0
-}
-
-/// Runs a corpus through the **parallel** pipeline (`superc::corpus`)
-/// with the given worker count (`0` = available parallelism), returning
-/// the corpus-level report with per-unit results in corpus order. Units
-/// that failed fatally stay in the report with zeroed counters; they are
-/// surfaced on stderr rather than aborting the run.
-pub fn process_corpus_parallel(
-    corpus: &Corpus,
-    options: Options,
-    jobs: usize,
-) -> superc::CorpusReport {
-    process_corpus_parallel_opts(corpus, options, jobs, false)
-}
-
-/// [`process_corpus_parallel`] with the shared preprocessing cache
-/// switchable, so benchmarks can measure cache-on vs cache-off.
-pub fn process_corpus_parallel_opts(
-    corpus: &Corpus,
-    options: Options,
-    jobs: usize,
-    no_shared_cache: bool,
-) -> superc::CorpusReport {
-    let copts = superc::CorpusOptions {
-        jobs,
-        no_shared_cache,
-        ..superc::CorpusOptions::default()
-    };
-    let report = superc::process_corpus(&corpus.fs, &corpus.units, &options, &copts);
-    for u in report.units.iter().filter(|u| u.fatal.is_some()) {
-        eprintln!(
-            "{}: skipped (fatal: {})",
-            u.path,
-            u.fatal.as_deref().unwrap_or("unknown failure")
-        );
-    }
-    report
 }
 
 /// Like [`process_corpus`], but also returns the tool for post-run

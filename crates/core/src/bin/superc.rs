@@ -521,49 +521,19 @@ fn run_parallel(args: &Args) -> ExitCode {
 }
 
 /// `superc daemon`: NDJSON requests on stdin, one response line each on
-/// stdout, over a [`Driver`] rooted at the current directory. Parse and
-/// lint responses are byte-identical to fresh one-shot CLI runs over
-/// the same tree — verify.sh diffs exactly that.
+/// stdout ([`superc::service::daemon::serve`]), over a [`Driver`]
+/// rooted at the current directory. Parse and lint responses are
+/// byte-identical to fresh one-shot CLI runs over the same tree —
+/// verify.sh diffs exactly that. The session ends quietly when stdin
+/// closes or stdout goes away.
 fn run_daemon(args: &Args) -> ExitCode {
-    use std::io::{BufRead, Write};
     let mut driver = Driver::with_disk_root(args.options.clone(), args.jobs, ".");
     if driver.end_generation().is_err() {
         eprintln!("daemon: driver initialization failed");
         return ExitCode::FAILURE;
     }
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut input = std::io::stdin().lock();
-    let mut line = Vec::new();
-    loop {
-        line.clear();
-        match input.read_until(b'\n', &mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        // Read raw bytes so a line that is not UTF-8 gets an error
-        // response instead of ending the session.
-        let (response, quit) = match std::str::from_utf8(&line) {
-            Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => superc::service::daemon::handle_line(&mut driver, text),
-            Err(e) => (
-                format!(
-                    "{{\"ok\":false,\"error\":\"bad request: not UTF-8 at byte {}\"}}",
-                    e.valid_up_to()
-                ),
-                false,
-            ),
-        };
-        if writeln!(out, "{response}")
-            .and_then(|()| out.flush())
-            .is_err()
-        {
-            break;
-        }
-        if quit {
-            break;
-        }
-    }
+    let (input, output) = (std::io::stdin().lock(), std::io::stdout().lock());
+    let _ = superc::service::daemon::serve(&mut driver, input, output);
     ExitCode::SUCCESS
 }
 

@@ -1198,8 +1198,7 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     }
 
     /// The pool-wide shared L2 cache. Exposed so tests and benchmarks
-    /// can read its gauges (`rehashes`, `duplicate_freezes`, entry
-    /// count).
+    /// can read its gauges (`rehashes`, artifact count).
     pub fn shared_cache(&self) -> &Arc<SharedCache> {
         &self.shared
     }

@@ -316,10 +316,13 @@ impl Driver {
     }
 }
 
-/// The `superc daemon` NDJSON protocol, one request line at a time —
-/// kept here (not in the binary) so the protocol is testable
-/// in-process. See the binary's docs for the request shapes.
+/// The `superc daemon` NDJSON protocol: the read-and-answer loop and
+/// one request line at a time, kept here (not in the binary) so the
+/// protocol is testable in-process. See the binary's docs for the
+/// request shapes.
 pub mod daemon {
+    use std::io::{BufRead, Read, Write};
+
     use superc_util::json::Json;
 
     use super::{Driver, Rendered};
@@ -327,6 +330,58 @@ pub mod daemon {
     use crate::analyze::LintOptions;
     use crate::cli::LintFormat;
     use crate::Profile;
+
+    /// The longest request line [`serve`] reads, newline included: far
+    /// above real requests, which stay small (an `edit` carries one
+    /// file's contents; the kernelgen files the benchmarks edit are
+    /// under 4 KiB, as is a 256-unit `lint` request).
+    pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+    /// Answers each request line of `input` with one response line on
+    /// `output`, until end of input or a `shutdown` request. A line that
+    /// is not UTF-8 or is longer than [`MAX_LINE_BYTES`] gets an
+    /// `ok:false` response, and the session goes on with the next line;
+    /// an overlong line is never held in memory whole.
+    ///
+    /// # Errors
+    ///
+    /// A failed read of `input` or write of `output`.
+    pub fn serve(
+        driver: &mut Driver,
+        mut input: impl BufRead,
+        mut output: impl Write,
+    ) -> std::io::Result<()> {
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            let limit = MAX_LINE_BYTES as u64;
+            if (&mut input).take(limit).read_until(b'\n', &mut line)? == 0 {
+                return Ok(());
+            }
+            let (answer, quit) = if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+                input.skip_until(b'\n')?;
+                let e = format!("bad request: line longer than {MAX_LINE_BYTES} bytes");
+                (response(Err(e)), false)
+            } else {
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => handle_line(driver, text),
+                    Err(e) => {
+                        let at = e.valid_up_to();
+                        (
+                            response(Err(format!("bad request: not UTF-8 at byte {at}"))),
+                            false,
+                        )
+                    }
+                }
+            };
+            writeln!(output, "{answer}")?;
+            output.flush()?;
+            if quit {
+                return Ok(());
+            }
+        }
+    }
 
     /// Renders one response line (no trailing newline).
     fn response(result: Result<Rendered, String>) -> String {

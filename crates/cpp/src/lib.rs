@@ -64,7 +64,7 @@ pub use preprocessor::{
     TestedMacro,
 };
 pub use profile::{Builtins, Profile, UndefIdentPolicy};
-pub use sharedcache::{FileView, SharedArtifact, SharedCache};
+pub use sharedcache::{FileView, Lookup, SharedArtifact, SharedCache};
 pub use stats::PpStats;
 
 #[cfg(test)]

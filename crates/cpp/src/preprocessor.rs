@@ -17,7 +17,7 @@ use crate::elements::{self, Branch, Conditional, Element, PTok};
 use crate::files::{resolve_include, FileSystem};
 use crate::macrotable::{MacroDef, MacroTable};
 use crate::profile::{Profile, UndefIdentPolicy};
-use crate::sharedcache::{FileView, SharedArtifact, SharedCache};
+use crate::sharedcache::{FileView, Lookup, SharedArtifact, SharedCache};
 use crate::stats::PpStats;
 
 /// A fatal preprocessing error (lexical error, unbalanced conditionals,
@@ -536,41 +536,44 @@ impl<F: FileSystem> Preprocessor<F> {
     /// Builds the L1 entry for `view`. The L2 is probed by content hash:
     /// another worker (or an earlier unit here) may already have lexed
     /// these bytes, under this path or any other with identical
-    /// content. A hit thaws into a worker-local `Rc` tree under this
+    /// content, or be lexing them now, in which case this waits for its
+    /// artifact. A hit thaws into a worker-local `Rc` tree under this
     /// worker's file id, so everything downstream is byte-identical
-    /// with a cache-off run and only the lex is skipped.
+    /// with a cache-off run and only the lex is skipped. A failed lex
+    /// publishes nothing, so the error path stays identical to the
+    /// cache-off pipeline.
     fn produce(&mut self, path: &str, view: FileView) -> Result<CachedFile, PpError> {
         let Some(shared) = self.shared.clone() else {
             return Ok(self.lex_file(path, &view.text, 0)?.file);
         };
-        if let Some(art) = shared.get(view.hash) {
-            let (items, guard) = art.thaw(self.file_id(path));
-            self.stats.shared_cache_hits += 1;
-            self.stats.lex_nanos_saved += art.lex_nanos;
-            return Ok(CachedFile {
-                items,
-                guard,
-                pragma_once: art.pragma_once,
-                bytes: art.bytes,
-                hash: view.hash,
-            });
-        }
-        let lexed = self.lex_file(path, &view.text, view.hash)?;
-        // Publish for other workers. The freeze runs inside
-        // `insert_with`'s write-locked incumbent re-check, so a racing
-        // worker pays it at most once (`duplicate_freezes` counts the
-        // avoided copies). Failed lexes never get here, so the error
-        // path stays identical to the cache-off pipeline.
-        self.stats.shared_cache_misses += 1;
-        shared.insert_with(view.hash, || {
-            SharedArtifact::freeze(
-                &lexed.file.items,
-                lexed.file.guard.as_ref(),
-                lexed.file.bytes,
+        let lookup = shared.get_or_make(view.hash, || -> Result<_, PpError> {
+            let lexed = self.lex_file(path, &view.text, view.hash)?;
+            let file = lexed.file;
+            let art = SharedArtifact::freeze(
+                &file.items,
+                file.guard.as_ref(),
+                file.bytes,
                 lexed.produce_nanos,
-            )
-        });
-        Ok(lexed.file)
+            );
+            Ok((file, art))
+        })?;
+        let art = match lookup {
+            Lookup::Made(file) => {
+                self.stats.shared_cache_misses += 1;
+                return Ok(file);
+            }
+            Lookup::Hit(art) => art,
+        };
+        let (items, guard) = art.thaw(self.file_id(path));
+        self.stats.shared_cache_hits += 1;
+        self.stats.lex_nanos_saved += art.lex_nanos;
+        Ok(CachedFile {
+            items,
+            guard,
+            pragma_once: art.pragma_once,
+            bytes: art.bytes,
+            hash: view.hash,
+        })
     }
 
     /// Lexes and structures one file into a [`CachedFile`], crediting

@@ -73,11 +73,12 @@
 //!   frozen form stores only line/column and the thaw stamps the local
 //!   worker's id so downstream behavior (diagnostics, `__FILE__`) is
 //!   byte-identical with a cache-off run.
-//! * **Publishing is deferred-freeze.** [`SharedCache::insert_with`]
-//!   re-checks for an incumbent under the write lock *before* invoking
-//!   the freeze closure, so two workers racing to publish the same
-//!   content pay the (expensive) freeze once; the loser's avoided work
-//!   is counted in [`SharedCache::duplicate_freezes`].
+//! * **Each content is lexed once per process.** A content hash's slot
+//!   is inserted before its bytes are lexed, and the worker that lexes
+//!   holds the slot's lock until it has published the artifact
+//!   ([`SharedCache::get_or_make`]); a worker that misses on content
+//!   another worker is lexing waits for that artifact instead of lexing
+//!   it again. So `shared_cache_misses` counts distinct contents.
 //! * **The content hash must mix every input bit.** An edit whose bytes
 //!   hash to the old key replays the old artifact and every memoized
 //!   unit over it. FxHash, which the in-memory maps use, mixes weakly:
@@ -88,13 +89,14 @@
 //!   collisions among n distinct versions. It costs about 20% more
 //!   than FxHash per byte, and a served edit hashes about one file.
 //!
-//! Failed lexes are *not* cached: errors are rare, unit-fatal, and
-//! re-deriving them per worker keeps the error path identical to the
-//! cache-off pipeline.
+//! Failed lexes are *not* cached: a failed lex leaves its slot empty,
+//! and the next worker lexes the bytes again and reports the error
+//! itself, which keeps the error path identical to the cache-off
+//! pipeline.
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use superc_lexer::{FileId, SourcePos, Token, TokenKind};
 use superc_util::{FastMap, FastSet, FxBuildHasher};
@@ -468,8 +470,21 @@ impl SharedArtifact {
     }
 }
 
+/// One content hash's artifact: empty until a lex of those bytes
+/// succeeds. The lexing worker holds the lock until it publishes, so a
+/// worker can wait for another's lex without holding the shard lock.
+type Slot = Arc<Mutex<Option<Arc<SharedArtifact>>>>;
+
 /// One lock-guarded slice of the content-hash → artifact map.
-type Shard = RwLock<FastMap<u64, Arc<SharedArtifact>>>;
+type Shard = RwLock<FastMap<u64, Slot>>;
+
+/// What [`SharedCache::get_or_make`] found.
+pub enum Lookup<T> {
+    /// Another worker's artifact for the content.
+    Hit(Arc<SharedArtifact>),
+    /// This caller made the artifact; here is its own result.
+    Made(T),
+}
 
 /// What one read of a path produced: the content hash of its bytes and
 /// the bytes themselves. An absent path has no view.
@@ -509,9 +524,6 @@ pub struct SharedCache {
     /// Files whose bytes were read and hashed (row fills for present
     /// files; absent paths are not counted).
     rehashes: AtomicU64,
-    /// Freezes avoided because [`SharedCache::insert_with`] found an
-    /// incumbent under the write lock.
-    duplicate_freezes: AtomicU64,
 }
 
 impl Default for SharedCache {
@@ -535,7 +547,6 @@ impl SharedCache {
             generation: AtomicU64::new(1),
             floor: AtomicU64::new(1),
             rehashes: AtomicU64::new(0),
-            duplicate_freezes: AtomicU64::new(0),
         }
     }
 
@@ -651,38 +662,51 @@ impl SharedCache {
             .map_or(0, |row| Arc::strong_count(&row.view))
     }
 
-    /// The artifact for this content hash, if some worker already
-    /// published one.
-    pub fn get(&self, hash: u64) -> Option<Arc<SharedArtifact>> {
+    /// The artifact for `hash`, made at most once per process. The
+    /// first caller runs `make` with the hash's slot locked and publishes
+    /// the artifact it returns, keeping the rest of `make`'s result; a
+    /// caller that arrives meanwhile waits for that artifact instead of
+    /// making its own. A failed `make` publishes nothing, so the next
+    /// caller runs its own.
+    pub fn get_or_make<T, E>(
+        &self,
+        hash: u64,
+        make: impl FnOnce() -> Result<(T, SharedArtifact), E>,
+    ) -> Result<Lookup<T>, E> {
+        let slot = self.slot(hash);
+        let mut artifact = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(art) = &*artifact {
+            return Ok(Lookup::Hit(Arc::clone(art)));
+        }
+        let (mine, made) = make()?;
+        *artifact = Some(Arc::new(made));
+        Ok(Lookup::Made(mine))
+    }
+
+    /// `hash`'s slot, inserted empty if no caller has asked before.
+    fn slot(&self, hash: u64) -> Slot {
+        let shard = self.shard(hash);
+        let found = shard
+            .read()
+            .expect("shared cache shard poisoned")
+            .get(&hash)
+            .map(Arc::clone);
+        found.unwrap_or_else(|| {
+            let mut shard = shard.write().expect("shared cache shard poisoned");
+            Arc::clone(shard.entry(hash).or_default())
+        })
+    }
+
+    /// How many handles share `hash`'s slot: the map plus each caller
+    /// inside [`SharedCache::get_or_make`] for it. Lets a test see a
+    /// waiter join an in-flight lex.
+    #[cfg(test)]
+    pub(crate) fn slot_holders(&self, hash: u64) -> usize {
         self.shard(hash)
             .read()
             .expect("shared cache shard poisoned")
             .get(&hash)
-            .map(Arc::clone)
-    }
-
-    /// Publishes an artifact for `hash`, building it with `make` only if
-    /// no incumbent exists. The check happens under the shard's write
-    /// lock, so two workers racing to publish the same content freeze it
-    /// once: the loser adopts the incumbent without invoking `make`, and
-    /// the avoided work is counted in
-    /// [`SharedCache::duplicate_freezes`].
-    pub fn insert_with(
-        &self,
-        hash: u64,
-        make: impl FnOnce() -> SharedArtifact,
-    ) -> Arc<SharedArtifact> {
-        let mut shard = self
-            .shard(hash)
-            .write()
-            .expect("shared cache shard poisoned");
-        if let Some(existing) = shard.get(&hash) {
-            self.duplicate_freezes.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(existing);
-        }
-        let arc = Arc::new(make());
-        shard.insert(hash, Arc::clone(&arc));
-        arc
+            .map_or(0, Arc::strong_count)
     }
 
     /// Evicts artifacts for **dead hashes**: entries whose hash is not
@@ -719,17 +743,18 @@ impl SharedCache {
         self.rehashes.load(Ordering::Relaxed)
     }
 
-    /// Freezes avoided by the incumbent re-check in
-    /// [`SharedCache::insert_with`] (cumulative).
-    pub fn duplicate_freezes(&self) -> u64 {
-        self.duplicate_freezes.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached artifacts across all shards.
+    /// Number of published artifacts across all shards.
     pub fn len(&self) -> usize {
+        let published = |slot: &Slot| {
+            let artifact = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            artifact.is_some()
+        };
         self.shards
             .iter()
-            .map(|s| s.read().expect("shared cache shard poisoned").len())
+            .map(|s| {
+                let shard = s.read().expect("shared cache shard poisoned");
+                shard.values().filter(|slot| published(slot)).count()
+            })
             .sum()
     }
 

@@ -890,12 +890,13 @@ fn failed_lexes_are_never_published() {
     let mut pp = pp_tool(&files, Some(&cache));
     let u = pp.preprocess("main.c");
     assert!(u.is_err(), "unterminated conditional in header is fatal");
-    let bad_hash = SharedCache::content_hash("#ifdef OPEN\n".as_bytes());
-    assert!(
-        cache.get(bad_hash).is_none(),
-        "broken artifacts must not be cached"
-    );
     assert_eq!(cache.len(), 1, "only main.c itself was published");
+    // The next worker lexes the broken header again and reports the
+    // error itself.
+    let mut pp2 = pp_tool(&files, Some(&cache));
+    let again = pp2.preprocess("main.c").expect_err("still fatal");
+    assert_eq!(again.message, u.expect_err("fatal").message);
+    assert_eq!(cache.len(), 1, "broken artifacts are never published");
 }
 
 #[test]
@@ -915,22 +916,6 @@ fn identical_contents_share_one_artifact() {
     assert_eq!(ub.stats.shared_cache_misses, 0);
     assert_eq!(cache.len(), 1);
     assert_eq!(flat_text(&ua), flat_text(&ub));
-}
-
-#[test]
-fn duplicate_insert_skips_the_freeze() {
-    // The incumbent re-check under the write lock must run *before* the
-    // freeze closure: a second publish for the same hash adopts the
-    // existing artifact without invoking `make`, and the counter proves
-    // the race path was taken.
-    let cache = SharedCache::new();
-    let items: Vec<crate::directives::RawItem> = Vec::new();
-    let first = cache.insert_with(42, || SharedArtifact::freeze(&items, None, 3, 11));
-    assert_eq!(cache.duplicate_freezes(), 0);
-    let second = cache.insert_with(42, || panic!("freeze must not run for an incumbent"));
-    assert!(std::sync::Arc::ptr_eq(&first, &second));
-    assert_eq!(cache.duplicate_freezes(), 1);
-    assert_eq!(cache.len(), 1);
 }
 
 #[test]
@@ -1047,6 +1032,52 @@ fn concurrent_misses_on_one_path_read_it_once() {
         "the waiter gets the reader's bytes"
     );
     assert_eq!(cache.row_holders("hot.h"), 1, "waiters let go");
+}
+
+#[test]
+fn concurrent_misses_on_one_content_lex_it_once() {
+    // The first worker holds its lex open until the second has joined
+    // the in-flight slot (the map, the lexer and the waiter each hold
+    // it); single flight makes the waiter take the first worker's
+    // artifact instead of lexing (and counting a miss) again.
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::sync::Arc;
+    let cache = Arc::new(SharedCache::new());
+    let lexes = Arc::new(AtomicU32::new(0));
+    let lexing = Arc::new(AtomicBool::new(false));
+    let make = |lexes: &AtomicU32| {
+        lexes.fetch_add(1, Ordering::SeqCst);
+        let art = SharedArtifact::freeze(&[], None, 9, 11);
+        Ok::<_, ()>(((), art))
+    };
+    let first = {
+        let (cache, lexes, lexing) = (cache.clone(), lexes.clone(), lexing.clone());
+        std::thread::spawn(move || {
+            let made = cache.get_or_make(7, || {
+                lexing.store(true, Ordering::SeqCst);
+                while cache.slot_holders(7) < 3 {
+                    std::thread::yield_now();
+                }
+                make(&lexes)
+            });
+            matches!(made, Ok(crate::Lookup::Made(())))
+        })
+    };
+    while !lexing.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    let second = cache.get_or_make(7, || make(&lexes));
+    assert!(
+        first.join().expect("first worker"),
+        "the first worker lexes"
+    );
+    match second {
+        Ok(crate::Lookup::Hit(art)) => assert_eq!((art.bytes, art.lex_nanos), (9, 11)),
+        _ => panic!("the waiter must take the first worker's artifact"),
+    }
+    assert_eq!(lexes.load(Ordering::SeqCst), 1, "one lex for two misses");
+    assert_eq!(cache.slot_holders(7), 1, "waiters let go");
+    assert_eq!(cache.len(), 1);
 }
 
 #[test]

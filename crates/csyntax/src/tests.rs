@@ -609,11 +609,14 @@ fn old_style_empty_parameter_functions() {
 // Declarator shapes (query::declared_names / first_declarator_tok)
 // ---------------------------------------------------------------------
 
+/// One declared name's `(name, specifiers, shape)`.
+type Shape = (&'static str, &'static str, &'static str);
+
 /// Pins the declarator shapes `declared_names` reports: `$` marks the
 /// declared identifier, specifiers flatten in source order.
 #[test]
 fn declared_names_pin_declarator_shapes() {
-    let cases: &[(&str, &[(&str, &str, &str)])] = &[
+    let cases: &[(&str, &[Shape])] = &[
         ("int x;\n", &[("x", "int", "$")]),
         (
             "static const unsigned long *p = 0;\n",

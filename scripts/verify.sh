@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification (see ROADMAP.md): release build + root-package tests,
-# a parallel-parsing determinism pass, then the performance snapshot gate
-# (scripts/bench.sh — gates both sequential and parallel entries).
-# Pass --workspace to also run every crate's test suite.
+# Tier-1 verification (see ROADMAP.md): release build + root-package tests
+# and the crate suites listed below, the determinism and byte-identity
+# passes over the real binary, fmt and clippy on every target, the
+# frozen benchmark's build, then the performance gate (scripts/bench.sh:
+# bench_snapshot measures its rows and applies every gate itself).
+# Pass --workspace to run every crate's test suite instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,8 +24,10 @@ else
     cargo test -q -p superc-grammar -p superc-csyntax -p superc-fmlr
     # The crates that declare counters or render them: the counter
     # helpers, the stats structs' own cases (the cpp cache on/off
-    # counter test among them) and the `--stats` table's.
-    cargo test -q -p superc-cpp -p superc-bdd -p superc-cond -p superc-util -p superc
+    # counter test among them) and the `--stats` table's; and the bench
+    # gate table's own cases (bounds, cross-run compare, --update).
+    cargo test -q -p superc-cpp -p superc-bdd -p superc-cond -p superc-util -p superc \
+        -p superc-bench
 fi
 # Re-run the parallel determinism suite with a wider, oversubscribed jobs
 # ladder than the default 1,2,8 — cheap extra scheduling coverage.
@@ -507,7 +511,7 @@ fi
 echo "verify: C API smoke OK"
 
 cargo fmt --all --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # The frozen benchmark (perfbench/, its own workspace) compiles against
 # the corpus entry points, the cli renderers, service::Driver and the
 # daemon protocol: build it and run its generator tests here, so an API

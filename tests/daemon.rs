@@ -353,11 +353,12 @@ fn resolverless_driver_revalidates_only_the_staged_paths() {
 
 #[test]
 fn daemon_rejects_malformed_requests_without_dying() {
+    use std::io::{BufReader, Cursor, Read};
     let tree = Tree::new("errors");
     let mut driver = Driver::with_disk_root(Options::default(), 2, tree.root_str());
     driver.end_generation().expect("commit");
     let deep = "[".repeat(200_000);
-    for (line, needle) in [
+    let rejected = [
         ("not json at all", "bad request"),
         (deep.as_str(), "nesting deeper than"),
         ("{\"units\":[\"a.c\"]}", "needs a \"cmd\""),
@@ -372,21 +373,47 @@ fn daemon_rejects_malformed_requests_without_dying() {
             "unknown profile",
         ),
         ("{\"cmd\":\"edit\"}", "needs a \"path\""),
-    ] {
-        let (response, quit) = daemon::handle_line(&mut driver, line);
-        assert!(!quit, "{line} must not stop the daemon");
-        let json = Json::parse(&response).expect("well-formed error response");
+    ];
+    // Every rejected line, a line that is not UTF-8, and a line past
+    // the length bound (streamed, never built), then two requests that
+    // must still be served.
+    let mut head = Vec::new();
+    for (line, _) in rejected {
+        head.extend_from_slice(line.as_bytes());
+        head.push(b'\n');
+    }
+    head.extend_from_slice(b"\xff\xfe\n");
+    let overlong = std::io::repeat(b' ').take(daemon::MAX_LINE_BYTES as u64 + 1);
+    let tail = "\n{\"cmd\":\"parse\",\"units\":[\"a.c\"]}\n{\"cmd\":\"stats\"}\n";
+    let input = Cursor::new(head).chain(overlong).chain(tail.as_bytes());
+    let mut output = Vec::new();
+    daemon::serve(&mut driver, BufReader::new(input), &mut output).expect("in-memory I/O");
+    let output = String::from_utf8(output).expect("UTF-8 responses");
+    let responses: Vec<Json> = output
+        .lines()
+        .map(|r| Json::parse(r).expect("well-formed response line"))
+        .collect();
+    let needles = rejected
+        .iter()
+        .map(|r| r.1)
+        .chain(["not UTF-8", "longer than"]);
+    assert_eq!(responses.len(), rejected.len() + 4, "one response per line");
+    for (json, needle) in responses.iter().zip(needles) {
         assert_eq!(
             json.get("ok").and_then(Json::as_bool),
             Some(false),
-            "{line}"
+            "{needle}"
         );
         let err = json.get("error").and_then(Json::as_str).unwrap_or("");
-        assert!(err.contains(needle), "{line}: got error {err:?}");
+        assert!(err.contains(needle), "{needle}: got error {err:?}");
     }
     // The session still works after every rejected request.
-    let response = request(&mut driver, "{\"cmd\":\"parse\",\"units\":[\"a.c\"]}");
-    assert_eq!(response.get("failed").and_then(Json::as_bool), Some(false));
+    let [.., parse, stats] = &responses[..] else {
+        unreachable!("counted above")
+    };
+    assert_eq!(parse.get("failed").and_then(Json::as_bool), Some(false));
+    assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(stat(stats, "batches"), Some(1.0), "only the parse ran");
     // The nesting bound, not the thread's stack size, stops the parser.
     let rejected = std::thread::Builder::new()
         .stack_size(256 << 10)

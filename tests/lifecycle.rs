@@ -82,9 +82,7 @@ fn resolver_errors_land_on_the_last_error_channel_not_a_panic() {
     // The include probe hits the failing resolver: the unit degrades to
     // a missing-include diagnostic, the request still completes, and
     // the failure is recorded for the embedder.
-    let report = driver
-        .parse(&units()[..1].to_vec())
-        .expect("parse completes");
+    let report = driver.parse(&units()[..1]).expect("parse completes");
     assert_eq!(report.parsed_units(), 1, "unit still parses");
     let err = driver.last_error().expect("resolver failure recorded");
     assert!(
@@ -103,7 +101,7 @@ fn resolver_serves_includes_the_overlay_does_not_have() {
         .set_file("a.c", "#include <virt.h>\nint a = VIRT;\n")
         .expect("generation 1 is open");
     driver.end_generation().expect("commit");
-    let report = driver.parse(&vec!["a.c".to_string()]).expect("parse");
+    let report = driver.parse(&["a.c".to_string()]).expect("parse");
     assert_eq!(report.parsed_units(), 1);
     assert!(report.units[0].fatal.is_none());
     assert!(driver.last_error().is_none(), "no failure to report");

@@ -9,6 +9,8 @@
 //! * the pooled [`CorpusRunner`], which always carries the shared
 //!   cache, matches the one-shot driver's cache-off reference at every
 //!   job count, including warm reruns on the same pool;
+//! * a cold pooled batch lexes each distinct file once, at any job
+//!   count;
 //! * a poisoned worker rebuilds only its mutable layer — the shared
 //!   tables are not rebuilt, and the pool's subsequent output is
 //!   unchanged.
@@ -93,6 +95,26 @@ fn pooled_runs_match_across_jobs_and_cache_settings() {
             base.check_same(&report, SAME_MODE)
                 .unwrap_or_else(|d| panic!("{label}: {d}"));
         }
+    }
+}
+
+#[test]
+fn cold_pooled_batches_lex_each_distinct_file_once() {
+    // Workers that miss on the same header at once wait for one lex of
+    // it, so a cold batch's L2 misses are exactly the files it read
+    // (`files_rehashed`), every one with distinct contents here.
+    let corpus = generate(&CorpusSpec::kernel().units(48));
+    let contents: std::collections::HashSet<&str> = corpus.fs.iter().map(|(_, c)| c).collect();
+    assert_eq!(contents.len(), corpus.fs.iter().count(), "distinct files");
+    let fs = Arc::new(corpus.fs.clone());
+    for jobs in [1, 2, 8] {
+        let mut pool = CorpusRunner::new(&options(), Arc::clone(&fs), jobs);
+        let report = pool.run(&corpus.units, &CorpusOptions::default());
+        assert!(report.files_rehashed > corpus.units.len() as u64, "headers");
+        assert_eq!(
+            report.pp.shared_cache_misses, report.files_rehashed,
+            "jobs={jobs}: one lex per distinct file"
+        );
     }
 }
 
