@@ -1,5 +1,5 @@
 //! Deterministic rendering: canonical presence-condition text, and the
-//! text/JSON diagnostic formats used by `superc lint`.
+//! text/JSON/SARIF diagnostic formats used by `superc lint`.
 //!
 //! `Cond`'s own `Display` walks the backing BDD, whose variable order
 //! depends on condition-creation order — schedule-dependent under the
@@ -7,6 +7,8 @@
 //! sum-of-products cover from the boolean function itself, branching on
 //! the *sorted* support names, so equal functions always render to equal
 //! strings no matter which worker built them.
+
+use std::fmt::{self, Write as _};
 
 use superc_cond::{Cond, CondCtx};
 
@@ -132,59 +134,160 @@ pub fn parse_canonical(s: &str, ctx: &CondCtx) -> Option<Cond> {
     Some(result)
 }
 
+/// Lint output format (the CLI's `--format`, the daemon's `"format"`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LintFormat {
+    /// Human-readable lines plus a trailing summary line.
+    Text,
+    /// One JSON object (the format the byte-identity gates diff).
+    Json,
+    /// SARIF 2.1.0.
+    Sarif,
+}
+
+impl LintFormat {
+    /// Parses a `--format` operand; `None` for unknown names.
+    pub fn parse(name: &str) -> Option<LintFormat> {
+        match name {
+            "text" => Some(LintFormat::Text),
+            "json" => Some(LintFormat::Json),
+            "sarif" => Some(LintFormat::Sarif),
+            _ => None,
+        }
+    }
+}
+
+/// Records rendered in one format without the document around them,
+/// plus what the document needs from them. A document over many units
+/// is joined from one fragment per unit by [`document`], so a unit's
+/// records are rendered once and its fragment can be kept while they
+/// stay the same.
+#[derive(Clone, Debug, Default)]
+pub struct Fragment {
+    /// The records: one line each (text), or comma-separated objects
+    /// (JSON) or results (SARIF).
+    body: String,
+    /// Records rendered.
+    count: usize,
+    /// Records at `deny` level.
+    deny: usize,
+    /// The records' distinct codes, sorted: SARIF's rule list (empty in
+    /// the other formats).
+    codes: Vec<&'static str>,
+}
+
+impl Fragment {
+    /// Renders `records` in `format`.
+    pub fn new(format: LintFormat, records: &[Record]) -> Fragment {
+        let mut body = String::new();
+        for (i, r) in records.iter().enumerate() {
+            if i > 0 && format != LintFormat::Text {
+                body.push(',');
+            }
+            // Writing into a `String` cannot fail.
+            let _ = match format {
+                LintFormat::Text => text_record(&mut body, r),
+                LintFormat::Json => json_record(&mut body, r),
+                LintFormat::Sarif => sarif_result(&mut body, r),
+            };
+        }
+        let mut codes = Vec::new();
+        if format == LintFormat::Sarif {
+            codes.extend(records.iter().map(|r| r.code));
+            codes.sort_unstable();
+            codes.dedup();
+        }
+        Fragment {
+            body,
+            count: records.len(),
+            deny: records.iter().filter(|r| r.level == "deny").count(),
+            codes,
+        }
+    }
+
+    /// Records at `deny` level.
+    pub fn deny(&self) -> usize {
+        self.deny
+    }
+}
+
+/// Joins `fragments`, each rendered in `format` and in record order, into
+/// one document of that format: text lines and their summary line, the
+/// JSON object with its `count` and `deny`, or the SARIF log with its
+/// rule list. The result is the document [`Fragment::new`] over all
+/// their records would give, byte for byte.
+pub fn document<'a, I>(format: LintFormat, fragments: I) -> String
+where
+    I: IntoIterator<Item = &'a Fragment>,
+    I::IntoIter: Clone,
+{
+    let fragments = fragments.into_iter();
+    let (mut count, mut deny, mut len) = (0, 0, 0);
+    for f in fragments.clone() {
+        count += f.count;
+        deny += f.deny;
+        len += f.body.len() + 1;
+    }
+    let mut out = String::with_capacity(len + 256);
+    let join = |out: &mut String| {
+        for (i, f) in fragments.clone().filter(|f| !f.body.is_empty()).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&f.body);
+        }
+    };
+    // Writing into a `String` cannot fail.
+    let _ = match format {
+        LintFormat::Text => {
+            for f in fragments.clone() {
+                out.push_str(&f.body);
+            }
+            writeln!(out, "{count} diagnostic(s), {deny} denied")
+        }
+        LintFormat::Json => {
+            out.push_str("{\"diagnostics\":[");
+            join(&mut out);
+            writeln!(out, "],\"count\":{count},\"deny\":{deny}}}")
+        }
+        LintFormat::Sarif => {
+            let mut codes: Vec<&str> = fragments
+                .clone()
+                .flat_map(|f| f.codes.iter().copied())
+                .collect();
+            codes.sort_unstable();
+            codes.dedup();
+            out.push_str(
+                "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\
+                 \"version\":\"2.1.0\",\
+                 \"runs\":[{\"tool\":{\"driver\":{\"name\":\"superc\",\"rules\":[",
+            );
+            for (i, code) in codes.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}{{\"id\":{}}}", JsonStr(code));
+            }
+            out.push_str("]}},\"results\":[");
+            join(&mut out);
+            out.write_str("]}]}\n")
+        }
+    };
+    out
+}
+
 /// Renders records in compiler style, one line each:
 /// `file:line:col: warning[code]: message [when COND]`, with a trailing
 /// ` [profiles {...}]` in cross-profile mode.
 pub fn render_text(records: &[Record]) -> String {
-    let mut out = String::new();
-    for r in records {
-        let sev = if r.level == "deny" {
-            "error"
-        } else {
-            "warning"
-        };
-        out.push_str(&format!(
-            "{}:{}:{}: {}[{}]: {} [when {}]",
-            r.file, r.line, r.col, sev, r.code, r.message, r.cond
-        ));
-        if !r.profiles.is_empty() {
-            out.push_str(&format!(" [profiles {{{}}}]", r.profiles));
-        }
-        out.push('\n');
-    }
-    out
+    Fragment::new(LintFormat::Text, records).body
 }
 
 /// Renders records as deterministic JSON (stable key order, sorted
 /// input): byte-identical across `--jobs` settings.
 pub fn render_json(records: &[Record]) -> String {
-    let mut out = String::from("{\"diagnostics\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"code\":{},\"level\":{},\"file\":{},\"line\":{},\"col\":{},\"cond\":{},\"message\":{}",
-            json_str(r.code),
-            json_str(r.level),
-            json_str(&r.file),
-            r.line,
-            r.col,
-            json_str(&r.cond),
-            json_str(&r.message)
-        ));
-        if !r.profiles.is_empty() {
-            out.push_str(&format!(",\"profiles\":{}", json_str(&r.profiles)));
-        }
-        out.push('}');
-    }
-    let deny = records.iter().filter(|r| r.level == "deny").count();
-    out.push_str(&format!(
-        "],\"count\":{},\"deny\":{}}}\n",
-        records.len(),
-        deny
-    ));
-    out
+    document(
+        LintFormat::Json,
+        [&Fragment::new(LintFormat::Json, records)],
+    )
 }
 
 /// Renders records as a SARIF 2.1.0 log (`superc lint --format sarif`)
@@ -195,65 +298,127 @@ pub fn render_json(records: &[Record]) -> String {
 /// its `properties` bag. Deterministic: stable key order over sorted
 /// input, so the output inherits the byte-identity contract.
 pub fn render_sarif(records: &[Record]) -> String {
-    let mut rule_ids: Vec<&str> = records.iter().map(|r| r.code).collect();
-    rule_ids.sort_unstable();
-    rule_ids.dedup();
-    let rules = rule_ids
-        .iter()
-        .map(|id| format!("{{\"id\":{}}}", json_str(id)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut results = String::new();
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            results.push(',');
-        }
-        let level = if r.level == "deny" {
-            "error"
-        } else {
-            "warning"
-        };
-        let mut props = format!("\"cond\":{}", json_str(&r.cond));
-        if !r.profiles.is_empty() {
-            props.push_str(&format!(",\"profiles\":{}", json_str(&r.profiles)));
-        }
-        results.push_str(&format!(
-            "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\
-             \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}],\
-             \"properties\":{{{}}}}}",
-            json_str(r.code),
-            json_str(level),
-            json_str(&r.message),
-            json_str(&r.file),
-            r.line.max(1),
-            r.col.max(1),
-            props
-        ));
-    }
-    format!(
-        "{{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\
-         \"version\":\"2.1.0\",\
-         \"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"superc\",\"rules\":[{rules}]}}}},\
-         \"results\":[{results}]}}]}}\n"
+    document(
+        LintFormat::Sarif,
+        [&Fragment::new(LintFormat::Sarif, records)],
     )
+}
+
+/// One [`render_text`] line.
+fn text_record(out: &mut String, r: &Record) -> fmt::Result {
+    let sev = if r.level == "deny" {
+        "error"
+    } else {
+        "warning"
+    };
+    write!(
+        out,
+        "{}:{}:{}: {sev}[{}]: {} [when {}]",
+        r.file, r.line, r.col, r.code, r.message, r.cond
+    )?;
+    if !r.profiles.is_empty() {
+        write!(out, " [profiles {{{}}}]", r.profiles)?;
+    }
+    out.write_char('\n')
+}
+
+/// One [`render_json`] object.
+fn json_record(out: &mut String, r: &Record) -> fmt::Result {
+    write!(
+        out,
+        "{{\"code\":{},\"level\":{},\"file\":{},\"line\":{},\"col\":{},\"cond\":{},\"message\":{}",
+        JsonStr(r.code),
+        JsonStr(r.level),
+        JsonStr(&r.file),
+        r.line,
+        r.col,
+        JsonStr(&r.cond),
+        JsonStr(&r.message)
+    )?;
+    if !r.profiles.is_empty() {
+        write!(out, ",\"profiles\":{}", JsonStr(&r.profiles))?;
+    }
+    out.write_char('}')
+}
+
+/// One [`render_sarif`] result.
+fn sarif_result(out: &mut String, r: &Record) -> fmt::Result {
+    let level = if r.level == "deny" {
+        "error"
+    } else {
+        "warning"
+    };
+    write!(
+        out,
+        "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\
+         \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}},\
+         \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}],\
+         \"properties\":{{\"cond\":{}",
+        JsonStr(r.code),
+        JsonStr(level),
+        JsonStr(&r.message),
+        JsonStr(&r.file),
+        r.line.max(1),
+        r.col.max(1),
+        JsonStr(&r.cond)
+    )?;
+    if !r.profiles.is_empty() {
+        write!(out, ",\"profiles\":{}", JsonStr(&r.profiles))?;
+    }
+    out.write_str("}}")
+}
+
+/// A string displayed as a JSON string literal: `write!` escapes it
+/// straight into its destination, with no intermediate `String`.
+struct JsonStr<'a>(&'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_json_str(f, self.0)
+    }
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_str(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as a JSON string literal ([`json_str`] without
+/// the allocation).
+pub fn push_json_str(out: &mut String, s: &str) {
+    // Writing into a `String` cannot fail.
+    let _ = write_json_str(out, s);
+}
+
+/// Writes `s` as a JSON string literal. Bytes that need no escape are
+/// written a run at a time: every byte that does is ASCII, so each run
+/// ends on a character boundary.
+fn write_json_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if short.is_empty() {
+            out.write_str("\\u00")?;
+            out.write_char(HEX[usize::from(b >> 4)] as char)?;
+            out.write_char(HEX[usize::from(b & 0xf)] as char)?;
+        } else {
+            out.write_str(short)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }

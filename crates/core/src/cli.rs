@@ -10,9 +10,11 @@
 //! two byte-for-byte against each other.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use crate::analyze::{render, LintOptions, Record};
-use crate::corpus::{CorpusReport, ProfilesReport};
+use crate::analyze::render::{self, Fragment};
+use crate::analyze::{LintOptions, Record};
+use crate::corpus::{CorpusReport, ProfilesReport, UnitReport};
 
 /// Output of one rendered request: the exact bytes the CLI writes to
 /// stdout and stderr, plus whether the run counts as failed (a nonzero
@@ -28,46 +30,16 @@ pub struct Rendered {
     pub failed: bool,
 }
 
-/// Lint output format (the CLI's `--format`, the daemon's `"format"`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LintFormat {
-    /// Human-readable lines plus a trailing summary line.
-    Text,
-    /// One JSON object (the format the byte-identity gates diff).
-    Json,
-    /// SARIF 2.1.0.
-    Sarif,
-}
-
-impl LintFormat {
-    /// Parses a `--format` operand; `None` for unknown names.
-    pub fn parse(name: &str) -> Option<LintFormat> {
-        match name {
-            "text" => Some(LintFormat::Text),
-            "json" => Some(LintFormat::Json),
-            "sarif" => Some(LintFormat::Sarif),
-            _ => None,
-        }
-    }
-}
+/// The lint output formats live beside their renderers in
+/// `superc_analyze::render`; they are re-exported here, where the CLI and
+/// the service name them.
+pub use crate::analyze::render::LintFormat;
 
 /// Renders lint records in the selected format. Every format is
 /// byte-identical for any jobs/cache/fastpath setting: records sort
 /// deterministically and render conditions canonically.
 pub fn render_records(format: LintFormat, records: &[Record]) -> String {
-    match format {
-        LintFormat::Json => render::render_json(records),
-        LintFormat::Sarif => render::render_sarif(records),
-        LintFormat::Text => {
-            let deny = records.iter().filter(|r| r.level == "deny").count();
-            format!(
-                "{}{} diagnostic(s), {} denied\n",
-                render::render_text(records),
-                records.len(),
-                deny
-            )
-        }
-    }
+    render::document(format, [&Fragment::new(format, records)])
 }
 
 /// Renders a plain parse run over the corpus driver: per-unit fatal
@@ -127,26 +99,66 @@ pub fn render_corpus_report(report: &CorpusReport, show_ast: bool, show_stats: b
 }
 
 /// Renders a single-profile lint run: fatal units on stderr, records in
-/// the selected format (plus the stats table when asked) on stdout.
+/// the selected format (plus the stats table when asked) on stdout. The
+/// CLI and every one-shot caller render this way, through a renderer
+/// that keeps nothing; a service driver keeps its renderer's per-unit
+/// fragments across requests instead.
 pub fn render_lint_report(report: &CorpusReport, format: LintFormat, show_stats: bool) -> Rendered {
-    let mut out = Rendered::default();
-    let mut records: Vec<Record> = Vec::new();
-    for u in &report.units {
-        if let Some(f) = &u.fatal {
-            let _ = writeln!(out.stderr, "{}: fatal: {f}", u.path);
-            out.failed = true;
+    LintFragments::default().render(report, format, show_stats)
+}
+
+/// The single-profile lint renderer, keeping each unit's rendered
+/// records from its last render. The document joins one
+/// [`Fragment`] per unit in unit order, and a unit whose report is the
+/// same shared [`UnitReport`] as last time at its position (a memo
+/// replay hands out the stored report itself) keeps its fragment
+/// instead of being rendered again. A changed format starts afresh.
+#[derive(Default)]
+pub(crate) struct LintFragments {
+    /// The format of the kept fragments.
+    format: Option<LintFormat>,
+    /// The last render's units in report order, each with its fragment.
+    units: Vec<(Arc<UnitReport>, Fragment)>,
+}
+
+impl LintFragments {
+    /// [`render_lint_report`]'s bytes for `report`, rendering only the
+    /// units this renderer has not rendered in `format` last time, and
+    /// keeping every unit's fragment for the next call.
+    pub(crate) fn render(
+        &mut self,
+        report: &CorpusReport,
+        format: LintFormat,
+        show_stats: bool,
+    ) -> Rendered {
+        let mut last = std::mem::take(&mut self.units);
+        if self.format != Some(format) {
+            last.clear();
         }
-        records.extend(u.lints.iter().cloned());
+        let mut out = Rendered::default();
+        let mut units = Vec::with_capacity(report.units.len());
+        for (i, u) in report.units.iter().enumerate() {
+            if let Some(f) = &u.fatal {
+                let _ = writeln!(out.stderr, "{}: fatal: {f}", u.path);
+                out.failed = true;
+            }
+            let fragment = match last.get_mut(i) {
+                Some((shown, fragment)) if Arc::ptr_eq(shown, u) => std::mem::take(fragment),
+                _ => Fragment::new(format, &u.lints),
+            };
+            units.push((Arc::clone(u), fragment));
+        }
+        let fragments = units.iter().map(|(_, f)| f);
+        out.failed |= fragments.clone().any(|f| f.deny() > 0);
+        out.stdout = render::document(format, fragments);
+        if show_stats {
+            out.stdout
+                .push_str(&crate::report::corpus_table(report).render());
+        }
+        self.format = Some(format);
+        self.units = units;
+        out
     }
-    if records.iter().any(|r| r.level == "deny") {
-        out.failed = true;
-    }
-    out.stdout.push_str(&render_records(format, &records));
-    if show_stats {
-        out.stdout
-            .push_str(&crate::report::corpus_table(report).render());
-    }
-    out
 }
 
 /// Renders a cross-profile lint run: per-profile fatal units on stderr,

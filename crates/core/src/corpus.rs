@@ -88,11 +88,15 @@
 //! options/profile signature, and its include-closure dependency
 //! fingerprint (the sorted `(path, content hash)` set the preprocessor
 //! observed, plus the failed include probes). A later warm batch
-//! revalidates the fingerprint — pure path-row lookups, no lexing, and
-//! no lookups at all for an entry valid in the previous batch whose
-//! paths the change set does not name — and on a match replays the
-//! cached [`UnitReport`] without scheduling any preprocessing, parsing,
-//! or linting. Replayed reports are byte-identical to what a cold run
+//! revalidates the fingerprint — pure path-row lookups, no lexing — and
+//! on a match replays the stored [`UnitReport`], shared rather than
+//! copied, without scheduling any preprocessing, parsing, or linting.
+//! When the tree named its changes, the calling thread replays every
+//! entry valid in the previous batch whose fingerprint names no changed
+//! path before the batch is dispatched, so a served request's workers
+//! see only what its edit touched, and a request with no edit wakes
+//! none. Entries no batch has proven for [`MEMO_MAX_AGE`] generations
+//! are dropped. Replayed reports are byte-identical to what a cold run
 //! over the same tree would produce (that is gated in `tests/warm.rs`,
 //! `bench_snapshot`, and verify.sh); only the `schedule` gauges and
 //! `memo_hit` differ, and [`UnitReport::view`] leaves both out. Units
@@ -300,8 +304,11 @@ pub struct UnitReport {
 /// counters.
 #[derive(Clone, Debug)]
 pub struct CorpusReport {
-    /// One report per input unit, in input order.
-    pub units: Vec<UnitReport>,
+    /// One report per input unit, in input order. Shared: a warm batch
+    /// hands out the unit memo's stored report for every unit it
+    /// replays, so an unchanged unit's report is the same allocation
+    /// from one batch to the next (`Arc::ptr_eq`).
+    pub units: Vec<Arc<UnitReport>>,
     /// Preprocessor counters summed over units.
     pub pp: PpStats,
     /// Parser counters summed over units.
@@ -401,13 +408,13 @@ impl CorpusReport {
         CorpusReport {
             cond: tool.ctx().stats(),
             bdd: tool.ctx().bdd_stats(),
-            ..CorpusReport::new(vec![unit], 1, processed.timings.total())
+            ..CorpusReport::new(vec![Arc::new(unit)], 1, processed.timings.total())
         }
     }
 
     /// A report over `units` with their counters merged and every gauge
     /// outside them zero.
-    fn new(units: Vec<UnitReport>, workers: usize, wall: Duration) -> CorpusReport {
+    fn new(units: Vec<Arc<UnitReport>>, workers: usize, wall: Duration) -> CorpusReport {
         let mut pp = PpStats::default();
         let mut parse = ParseStats::default();
         for u in &units {
@@ -518,7 +525,8 @@ fn chunk_size(n_units: usize, workers: usize) -> usize {
 /// the stored report only on a full match, so any edit inside the
 /// unit's closure — or a change to anything the signature covers —
 /// falls through to a real run. Entries overwrite on re-store, so an
-/// edited unit's fresh result replaces its stale one.
+/// edited unit's fresh result replaces its stale one. A replay shares
+/// the stored report (an `Arc` clone); only the store copies it.
 ///
 /// Fingerprints carry both halves of include resolution: the files
 /// that **were** read (path, content hash) and the probe paths that
@@ -528,15 +536,38 @@ fn chunk_size(n_units: usize, workers: usize) -> usize {
 /// earlier on the include path invalidates exactly the units whose
 /// resolution walked past that path.
 ///
-/// **Fast path.** Each entry records the generation in which it was
-/// last proven valid. When the tree reported its changes since the
-/// previous generation and the entry was valid in that generation, the
-/// entry is still valid unless one of its dependency paths (positive
-/// or negative) is among the changed ones, so it replays with no
-/// probes at all. Every other lookup takes the full probe.
+/// **Sorted out before dispatch.** Each entry records the generation in
+/// which it was last proven valid. When the tree reported its changes
+/// since the previous generation and the entry was valid in that
+/// generation, the entry is still valid unless one of its dependency
+/// paths (positive or negative) is among the changed ones. The calling
+/// thread applies that test to every task before the batch is
+/// dispatched ([`MemoCtx::sort_out`]), looking each changed path up in
+/// the sorted fingerprint: O(|changed| · log |deps|) per task, and a
+/// served edit changes about one path. A small Bloom filter of the
+/// fingerprint's paths answers first, so nearly every entry the change
+/// does not name is ruled out without reading its path strings. Only
+/// the tasks the calling thread cannot answer reach the workers, which
+/// take the full probe.
+///
+/// **Bounded by age.** After every warm batch, entries not proven in
+/// the last [`MEMO_MAX_AGE`] generations are dropped.
 struct UnitMemo {
-    entries: std::sync::RwLock<superc_util::FastMap<(String, u64), Arc<MemoEntry>>>,
+    /// Entries by options signature, then unit path.
+    entries:
+        std::sync::RwLock<superc_util::FastMap<u64, superc_util::FastMap<String, Arc<MemoEntry>>>>,
 }
+
+/// How many generations a unit memo entry may go unproven before the
+/// end of a warm batch drops it. Every batch proves the entries of the
+/// units it names under its options, so only entries no batch has named
+/// for this long go: a unit dropped from the requests, or an option set
+/// (lint options, captures, a profile grid) no longer asked for. A
+/// served session that names the same units every request, as an
+/// editor's lint-all does, never evicts, and no benchmark or
+/// verification workload runs a pool for 64 batches with a set of
+/// entries left out.
+pub const MEMO_MAX_AGE: u64 = 64;
 
 struct MemoEntry {
     /// Sorted `(path, content hash)` include closure at store time.
@@ -544,19 +575,63 @@ struct MemoEntry {
     /// Sorted failed include-resolution probe paths at store time: the
     /// entry is only valid while every one of them stays absent.
     neg_deps: Vec<String>,
-    report: UnitReport,
+    /// Every path of `deps` and `neg_deps`.
+    sketch: PathSketch,
+    /// The stored report, with `memo_hit` set; every replay shares it.
+    report: Arc<UnitReport>,
     /// The latest generation in which the entry was proven valid (by
-    /// its store, a full probe, or the fast path). Relaxed: it publishes
-    /// no other data, and the runner's channels order one batch's
-    /// stamps before the next batch's reads.
+    /// its store, a full probe, or the calling thread's sort-out).
+    /// Relaxed: it publishes no other data, and the runner's channels
+    /// order one batch's stamps before the next batch's reads.
     proven: AtomicU64,
 }
 
+/// Does any path of the sorted `changed` set appear in a fingerprint:
+/// its sorted `deps` (by path) or its sorted `neg_deps`? Each changed
+/// path is looked up by binary search, so the cost follows the change
+/// set, not the fingerprint.
+pub(crate) fn touches(deps: &[(String, u64)], neg_deps: &[String], changed: &[String]) -> bool {
+    changed.iter().any(|c| {
+        deps.binary_search_by(|(p, _)| p.as_str().cmp(c)).is_ok()
+            || neg_deps.binary_search(c).is_ok()
+    })
+}
+
+/// A 512-bit Bloom filter over a fingerprint's paths, two bits per
+/// path. A path whose bits are not both set is not in the fingerprint;
+/// one whose bits are may be. With a kernel unit's hundred-odd paths,
+/// about one other path in seven gets a "may".
+#[derive(Default)]
+struct PathSketch([u64; 8]);
+
+impl PathSketch {
+    /// The two bits `path` sets: two 9-bit slices of the top of its
+    /// FxHash, whose multiply mixes the high bits best.
+    fn bits(path: &str) -> [usize; 2] {
+        use std::hash::BuildHasher;
+        let h = superc_util::FxBuildHasher::default().hash_one(path);
+        [(h >> 55) as usize, (h >> 46) as usize & 511]
+    }
+
+    fn insert(&mut self, path: &str) {
+        for b in PathSketch::bits(path) {
+            self.0[b / 64] |= 1 << (b % 64);
+        }
+    }
+
+    /// Can a path with these [`PathSketch::bits`] be in the set?
+    fn may_hold(&self, bits: [usize; 2]) -> bool {
+        bits.iter().all(|&b| self.0[b / 64] >> (b % 64) & 1 == 1)
+    }
+}
+
 impl MemoEntry {
-    /// Does any path of the fingerprint appear in `changed` (sorted)?
-    fn touches(&self, changed: &[String]) -> bool {
-        let hit = |p: &str| changed.binary_search_by(|c| c.as_str().cmp(p)).is_ok();
-        self.deps.iter().any(|(p, _)| hit(p)) || self.neg_deps.iter().any(|p| hit(p))
+    /// [`touches`] for this entry's fingerprint, given the changed
+    /// paths' [`PathSketch::bits`]: the sketch rules a change out, and
+    /// a "may" is settled by path.
+    fn touched_by(&self, changed: &[String], bits: &[[usize; 2]]) -> bool {
+        bits.iter().any(|&b| self.sketch.may_hold(b))
+            && touches(&self.deps, &self.neg_deps, changed)
     }
 
     /// The full probe: every recorded dependency still has its recorded
@@ -576,6 +651,28 @@ impl UnitMemo {
         UnitMemo {
             entries: std::sync::RwLock::new(superc_util::FastMap::default()),
         }
+    }
+
+    /// Drops the entries not proven in the last [`MEMO_MAX_AGE`]
+    /// generations, as of generation `gen`. Returns the oldest proof
+    /// left (`gen` if none): stamps only grow and new entries start at
+    /// their batch's generation, so nothing can fall due before that
+    /// proof does.
+    fn evict_unproven(&self, gen: u64) -> u64 {
+        let mut entries = self.entries.write().expect("unit memo poisoned");
+        let mut oldest = gen;
+        for row in entries.values_mut() {
+            row.retain(|_, e| {
+                let proven = e.proven.load(Ordering::Relaxed);
+                let keep = gen - proven < MEMO_MAX_AGE;
+                if keep {
+                    oldest = oldest.min(proven);
+                }
+                keep
+            });
+        }
+        entries.retain(|_, row| !row.is_empty());
+        oldest
     }
 }
 
@@ -604,16 +701,22 @@ fn options_sig(options: &Options, copts: &CorpusOptions) -> u64 {
 }
 
 /// One run over the `units × profiles` task grid, shared by every worker
-/// of the run: task `t = p * units.len() + u` parses unit `u` under
-/// `profiles[p]`, and workers claim `chunk` consecutive tasks per
-/// `cursor` increment. With `memo` set (a pooled warm re-run), workers
-/// consult and fill the pool's unit result memo.
+/// of the run: task `t = p * n_units + u` parses unit `u` under
+/// `profiles[p]`. The workers claim `chunk` consecutive entries of
+/// `tasks` per `cursor` increment: every task of the grid, or the ones
+/// the calling thread could not replay itself. With `memo` set (a
+/// pooled warm re-run), workers consult and fill the pool's unit result
+/// memo.
 struct Batch {
-    units: Vec<String>,
+    /// Units per profile row.
+    n_units: usize,
+    /// The tasks left for the workers, in grid order, each with its
+    /// unit's path.
+    tasks: Vec<(usize, String)>,
     profiles: Vec<Profile>,
     copts: CorpusOptions,
     /// Workers running this batch: the requested count, capped at the
-    /// task count.
+    /// task count — and none when the calling thread answered every task.
     workers: usize,
     cursor: AtomicUsize,
     chunk: usize,
@@ -621,50 +724,63 @@ struct Batch {
 }
 
 impl Batch {
+    /// A batch over the grid of `units` × `profiles` whose workers run
+    /// `tasks` (sorted task ids).
     fn new(
         units: &[String],
         profiles: Vec<Profile>,
         copts: CorpusOptions,
         jobs: usize,
         memo: Option<MemoCtx>,
+        tasks: Vec<usize>,
     ) -> Batch {
         let n_tasks = units.len() * profiles.len();
-        let workers = jobs.min(n_tasks).max(1);
+        let workers = if tasks.is_empty() && n_tasks > 0 {
+            0
+        } else {
+            jobs.min(tasks.len()).max(1)
+        };
         Batch {
-            units: units.to_vec(),
+            n_units: units.len(),
+            chunk: chunk_size(tasks.len(), workers),
+            tasks: tasks
+                .into_iter()
+                .map(|t| (t, units[t % units.len()].clone()))
+                .collect(),
             profiles,
             copts,
             workers,
             cursor: AtomicUsize::new(0),
-            chunk: chunk_size(n_tasks, workers),
             memo,
         }
     }
 
-    /// Reassembles task-indexed worker outputs into one [`CorpusReport`]
-    /// per profile, each in unit input order. Every task was claimed
-    /// exactly once and every merged counter is a sum or max, so the
-    /// result is schedule-independent. The per-profile
-    /// preprocessor/parser counters are exact sums over that profile's
-    /// units; the grid-wide gauges — context stats (a worker's tools
-    /// serve every row), memo counters and `files_rehashed` — land on
-    /// profile 0's run (they are outside the determinism contract either
-    /// way).
+    /// Reassembles the grid's reports into one [`CorpusReport`] per
+    /// profile, each in unit input order: `slots` holds the tasks the
+    /// calling thread replayed (`replayed` of them), the workers'
+    /// outputs fill the rest. Every task was answered exactly once and
+    /// every merged counter is a sum or max, so the result is
+    /// schedule-independent. The per-profile preprocessor/parser
+    /// counters are exact sums over that profile's units; the grid-wide
+    /// gauges — context stats (a worker's tools serve every row), memo
+    /// counters and `files_rehashed` — land on profile 0's run (they
+    /// are outside the determinism contract either way). A batch that
+    /// dispatched no worker reports `workers` 0 and empty context gauges
+    /// (`cond` all zero, `bdd` `None`): no worker reported any.
     fn assemble(
         &self,
+        mut slots: Vec<Option<Arc<UnitReport>>>,
+        replayed: u64,
         outputs: Vec<WorkerOutput>,
         wall: Duration,
         files_rehashed: u64,
     ) -> ProfilesReport {
-        let n_units = self.units.len();
-        let mut slots: Vec<Option<UnitReport>> =
-            (0..n_units * self.profiles.len()).map(|_| None).collect();
         let mut cond = CondStats::default();
         let mut bdd: Option<BddStats> = None;
-        let (mut memo_hits, mut memo_misses) = (0, 0);
+        let (mut memo_hits, mut memo_misses) = (replayed, 0);
         for out in outputs {
             for (t, report) in out.units {
-                debug_assert!(slots[t].is_none(), "task {t} claimed twice");
+                debug_assert!(slots[t].is_none(), "task {t} answered twice");
                 slots[t] = Some(report);
             }
             cond.merge(&out.cond);
@@ -677,9 +793,9 @@ impl Batch {
         let mut slots = slots.into_iter();
         let runs = (0..self.profiles.len())
             .map(|p| {
-                let units: Vec<UnitReport> = (&mut slots)
-                    .take(n_units)
-                    .map(|s| s.expect("every task claimed"))
+                let units: Vec<Arc<UnitReport>> = (&mut slots)
+                    .take(self.n_units)
+                    .map(|s| s.expect("every task answered"))
                     .collect();
                 let run = CorpusReport::new(units, self.workers, wall);
                 if p > 0 {
@@ -708,7 +824,7 @@ impl Batch {
 /// the condition-context gauges of all its tools, and its memo counters.
 #[derive(Default)]
 struct WorkerOutput {
-    units: Vec<(usize, UnitReport)>,
+    units: Vec<(usize, Arc<UnitReport>)>,
     cond: CondStats,
     bdd: Option<BddStats>,
     memo_hits: u64,
@@ -760,7 +876,7 @@ impl<G: FileSystem + Clone> Worker<G> {
     }
 
     /// The claim loop: pull chunks of tasks off the batch's cursor until
-    /// the grid is exhausted, firewalling each one.
+    /// its task list is exhausted, firewalling each one.
     ///
     /// With a memo (a pooled warm re-run), each task first consults the
     /// result memo under its profile's signature — a hit replays the
@@ -773,8 +889,7 @@ impl<G: FileSystem + Clone> Worker<G> {
     /// manager, interner, macro table, L1 cache, engine state); the
     /// shared artifacts and the L2 cache survive untouched.
     fn run(&mut self, batch: &Batch) -> WorkerOutput {
-        let n_units = batch.units.len();
-        let n_tasks = n_units * batch.profiles.len();
+        let n_tasks = batch.tasks.len();
         // Each row resolves to its tool once per batch, on first claim.
         let mut rows: Vec<Option<usize>> = vec![None; batch.profiles.len()];
         let mut out = WorkerOutput::default();
@@ -783,8 +898,8 @@ impl<G: FileSystem + Clone> Worker<G> {
             if base >= n_tasks {
                 break;
             }
-            for t in base..(base + batch.chunk).min(n_tasks) {
-                let (p, path) = (t / n_units, &batch.units[t % n_units]);
+            for (t, path) in &batch.tasks[base..(base + batch.chunk).min(n_tasks)] {
+                let (t, p) = (*t, t / batch.n_units);
                 let profile = &batch.profiles[p];
                 let i = *rows[p].get_or_insert_with(|| self.tool_for(profile));
                 let tool = &mut self.tools[i].1;
@@ -809,7 +924,7 @@ impl<G: FileSystem + Clone> Worker<G> {
                     let pp = self.tools[i].1.preprocessor();
                     memo.store(path, p, pp.unit_deps(), pp.unit_neg_deps(), &report);
                 }
-                out.units.push((t, report));
+                out.units.push((t, Arc::new(report)));
             }
         }
         // The gauges cover every tool the worker holds. A pooled worker
@@ -847,7 +962,8 @@ fn run_scoped<F: FileSystem + Sync>(
     let shared: Option<Arc<SharedCache>> =
         (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
     let start = Instant::now();
-    let batch = Batch::new(units, profiles, copts, jobs, None);
+    let tasks = (0..units.len() * profiles.len()).collect();
+    let batch = Batch::new(units, profiles, copts, jobs, None, tasks);
     let work = || Worker::new(options.clone(), fs, shared.clone()).run(&batch);
     let outputs: Vec<WorkerOutput> = if batch.workers == 1 {
         vec![work()]
@@ -867,7 +983,8 @@ fn run_scoped<F: FileSystem + Sync>(
         })
     };
     let wall = start.elapsed();
-    batch.assemble(outputs, wall, shared.map_or(0, |s| s.rehashes()))
+    let slots = vec![None; batch.tasks.len()];
+    batch.assemble(slots, 0, outputs, wall, shared.map_or(0, |s| s.rehashes()))
 }
 
 /// The cross-profile corpus rollup: one [`CorpusReport`] per profile,
@@ -1029,46 +1146,78 @@ pub fn process_corpus_profiles<F: FileSystem + Sync>(
 }
 
 /// The warm-mode context a batch carries to every worker: the pool's
-/// result memo, one options signature per profile row, and what the
-/// batch knows about edits since the previous one.
+/// result memo, one options signature per profile row, and the batch's
+/// generation.
 struct MemoCtx {
     memo: Arc<UnitMemo>,
     sigs: Vec<u64>,
     /// The batch's shared-cache generation.
     gen: u64,
-    /// The sorted paths the tree reported as changed since the previous
-    /// generation; `None` when it cannot tell.
-    changed: Option<Vec<String>>,
 }
 
 impl MemoCtx {
+    /// The calling thread's share of a batch over a tree that reported
+    /// its changes (`changed`, sorted): each task whose entry was proven
+    /// in the previous generation and whose fingerprint names no
+    /// changed path is still valid, so its stored report goes straight
+    /// into `slots[t]`, stamped with this generation, without a probe.
+    /// Returns the tasks left for the workers, in grid order.
+    fn sort_out(
+        &self,
+        units: &[String],
+        changed: &[String],
+        slots: &mut [Option<Arc<UnitReport>>],
+    ) -> Vec<usize> {
+        let bits: Vec<[usize; 2]> = changed.iter().map(|c| PathSketch::bits(c)).collect();
+        let entries = self.memo.entries.read().expect("unit memo poisoned");
+        let mut rest = Vec::new();
+        for (p, sig) in self.sigs.iter().enumerate() {
+            let row = entries.get(sig);
+            // Find every entry first, then test them: a loop of lookups
+            // alone lets their cache misses overlap.
+            let found: Vec<Option<&Arc<MemoEntry>>> = units
+                .iter()
+                .map(|path| row.and_then(|row| row.get(path)))
+                .collect();
+            for (u, entry) in found.into_iter().enumerate() {
+                let t = p * units.len() + u;
+                match entry {
+                    Some(e)
+                        if e.proven.load(Ordering::Relaxed) + 1 == self.gen
+                            && !e.touched_by(changed, &bits) =>
+                    {
+                        e.proven.store(self.gen, Ordering::Relaxed);
+                        slots[t] = Some(Arc::clone(&e.report));
+                    }
+                    _ => rest.push(t),
+                }
+            }
+        }
+        rest
+    }
+
     /// Replays the stored report for `path` under profile `p`'s
-    /// signature if it is still valid in this batch's generation: with
-    /// no probes when the fast path applies (see [`UnitMemo`]), else by
-    /// the full probe.
+    /// signature if the full probe proves it valid in this batch's
+    /// generation.
     fn lookup(
         &self,
         path: &str,
         p: usize,
         dep_hash: &dyn Fn(&str) -> Option<u64>,
-    ) -> Option<UnitReport> {
+    ) -> Option<Arc<UnitReport>> {
         let entry = self
             .memo
             .entries
             .read()
             .expect("unit memo poisoned")
-            .get(&(path.to_string(), self.sigs[p]))
+            .get(&self.sigs[p])?
+            .get(path)
             .cloned()?;
-        let untouched = self.changed.as_ref().is_some_and(|changed| {
-            entry.proven.load(Ordering::Relaxed) + 1 == self.gen && !entry.touches(changed)
-        });
-        if !untouched && !entry.revalidates(dep_hash) {
+        if !entry.revalidates(dep_hash) {
             return None;
         }
         entry.proven.store(self.gen, Ordering::Relaxed);
-        let mut report = entry.report.clone();
-        report.memo_hit = true;
-        Some(report)
+        Some(Arc::clone(&entry.report))
     }
 
     /// Stores a unit completed in this batch under profile `p`'s
@@ -1091,19 +1240,27 @@ impl MemoCtx {
         {
             return;
         }
+        let mut sketch = PathSketch::default();
+        for path in deps.iter().map(|(p, _)| p).chain(&neg_deps) {
+            sketch.insert(path);
+        }
+        let entry = MemoEntry {
+            sketch,
+            deps,
+            neg_deps,
+            report: Arc::new(UnitReport {
+                memo_hit: true,
+                ..report.clone()
+            }),
+            proven: AtomicU64::new(self.gen),
+        };
         self.memo
             .entries
             .write()
             .expect("unit memo poisoned")
-            .insert(
-                (path.to_string(), self.sigs[p]),
-                Arc::new(MemoEntry {
-                    deps,
-                    neg_deps,
-                    report: report.clone(),
-                    proven: AtomicU64::new(self.gen),
-                }),
-            );
+            .entry(self.sigs[p])
+            .or_default()
+            .insert(path.to_string(), Arc::new(entry));
     }
 }
 
@@ -1151,6 +1308,9 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     /// The pool's unit result memo, filled and consulted by warm
     /// batches ([`CorpusOptions::warm`]).
     memo: Arc<UnitMemo>,
+    /// The first generation at which a memo entry can be past
+    /// [`MEMO_MAX_AGE`]: the age check skips the memo before it.
+    evict_due: u64,
     /// The pool's base options, kept to compute per-batch options
     /// signatures for the memo.
     options: Options,
@@ -1187,6 +1347,7 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
             handles,
             shared,
             memo: Arc::new(UnitMemo::new()),
+            evict_due: 0,
             options: options.clone(),
             fs,
         }
@@ -1232,11 +1393,16 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     ///
     /// A batch starts by asking the tree what changed since the previous
     /// batch and starting a shared-cache generation that reads exactly
-    /// those paths again (every path when the tree cannot tell). It
-    /// then fans one [`Batch`] out to the pool, and ends by sweeping
-    /// dead artifacts out of the L2 after warm batches (cold pools churn
-    /// no hashes, so there is nothing to evict and the sweep would be
-    /// pure overhead). `files_rehashed` counts this batch's rehashes.
+    /// those paths again (every path when the tree cannot tell). On a
+    /// warm batch over a tree that named its changes, the calling thread
+    /// then replays every memo entry the changes leave valid
+    /// ([`MemoCtx::sort_out`]); the remaining tasks go out as one
+    /// [`Batch`] to the pool, and a batch with none left wakes no worker.
+    /// A warm batch ends by sweeping the artifacts its generation
+    /// orphaned out of the L2 and dropping memo entries past
+    /// [`MEMO_MAX_AGE`] (cold pools churn no hashes and fill no memo, so
+    /// there is nothing to evict). `files_rehashed` counts this batch's
+    /// rehashes.
     fn run_grid(
         &mut self,
         units: &[String],
@@ -1263,10 +1429,15 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
                 })
                 .collect(),
             gen,
-            changed,
         });
+        let mut slots = vec![None; units.len() * profiles.len()];
+        let tasks = match (&memo, &changed) {
+            (Some(memo), Some(changed)) => memo.sort_out(units, changed, &mut slots),
+            _ => (0..slots.len()).collect(),
+        };
+        let replayed = (slots.len() - tasks.len()) as u64;
         let rehash_base = self.shared.rehashes();
-        let batch = Arc::new(Batch::new(units, profiles, copts, self.jobs, memo));
+        let batch = Arc::new(Batch::new(units, profiles, copts, self.jobs, memo, tasks));
         let (done_tx, done_rx) = mpsc::channel();
         for tx in self.txs.iter().take(batch.workers) {
             tx.send((Arc::clone(&batch), done_tx.clone()))
@@ -1279,8 +1450,11 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         let rehashed = self.shared.rehashes() - rehash_base;
         if batch.copts.warm {
             self.shared.sweep();
+            if gen >= self.evict_due {
+                self.evict_due = self.memo.evict_unproven(gen) + MEMO_MAX_AGE;
+            }
         }
-        batch.assemble(outputs, wall, rehashed)
+        batch.assemble(slots, replayed, outputs, wall, rehashed)
     }
 }
 

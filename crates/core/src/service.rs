@@ -75,7 +75,7 @@ use std::sync::Arc;
 use superc_cpp::DiskFs;
 
 use crate::analyze::LintOptions;
-use crate::cli::{self, LintFormat, Rendered};
+use crate::cli::{self, LintFormat, LintFragments, Rendered};
 use crate::corpus::{Capture, CorpusOptions, CorpusReport, CorpusRunner};
 use crate::{Options, Profile};
 
@@ -124,6 +124,9 @@ pub struct Driver {
     /// Edit generation currently open (`None` = requests allowed).
     open: Option<u64>,
     stats: DriverStats,
+    /// The last single-profile lint response's per-unit fragments: a
+    /// unit the memo replays is not rendered again.
+    fragments: LintFragments,
 }
 
 impl Driver {
@@ -140,6 +143,7 @@ impl Driver {
             jobs,
             open: Some(1),
             stats: DriverStats::default(),
+            fragments: LintFragments::default(),
         }
     }
 
@@ -248,7 +252,7 @@ impl Driver {
         if profiles.is_empty() {
             let report = self.pool.run(units, &copts);
             self.note(&report);
-            Ok(cli::render_lint_report(&report, format, show_stats))
+            Ok(self.fragments.render(&report, format, show_stats))
         } else {
             let report = self.pool.run_profiles(units, profiles, &copts);
             self.note(&report.runs[0]);
@@ -326,7 +330,7 @@ pub mod daemon {
     use superc_util::json::Json;
 
     use super::{Driver, Rendered};
-    use crate::analyze::render::json_str;
+    use crate::analyze::render::{json_str, push_json_str};
     use crate::analyze::LintOptions;
     use crate::cli::LintFormat;
     use crate::Profile;
@@ -386,12 +390,21 @@ pub mod daemon {
     /// Renders one response line (no trailing newline).
     fn response(result: Result<Rendered, String>) -> String {
         match result {
-            Ok(r) => format!(
-                "{{\"ok\":true,\"stdout\":{},\"stderr\":{},\"failed\":{}}}",
-                json_str(&r.stdout),
-                json_str(&r.stderr),
-                r.failed
-            ),
+            Ok(r) => {
+                // Room for the escapes a lint document's quotes take.
+                let room = (r.stdout.len() + r.stderr.len()) * 9 / 8 + 64;
+                let mut line = String::with_capacity(room);
+                line.push_str("{\"ok\":true,\"stdout\":");
+                push_json_str(&mut line, &r.stdout);
+                line.push_str(",\"stderr\":");
+                push_json_str(&mut line, &r.stderr);
+                line.push_str(if r.failed {
+                    ",\"failed\":true}"
+                } else {
+                    ",\"failed\":false}"
+                });
+                line
+            }
             Err(e) => format!("{{\"ok\":false,\"error\":{}}}", json_str(&e)),
         }
     }

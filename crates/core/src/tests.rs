@@ -225,3 +225,34 @@ fn timings_split_into_phases() {
     assert_eq!(t.total(), t.lexing + t.preprocessing + t.parsing);
     assert!(t.parsing > std::time::Duration::ZERO);
 }
+
+#[test]
+fn touches_agrees_with_a_scan_of_the_fingerprint() {
+    use superc_util::prop::{check, Gen};
+    // A small path universe, so changed paths often land in the
+    // fingerprint and often miss it.
+    let universe: Vec<String> = (0..24).map(|i| format!("include/h{i:02}.h")).collect();
+    let sorted_subset = |g: &mut Gen, max: usize| -> Vec<String> {
+        let mut paths = g.vec(0..=max, |g| g.choose(&universe).clone());
+        paths.sort_unstable();
+        paths.dedup();
+        paths
+    };
+    check("touches_agrees_with_a_scan_of_the_fingerprint", 512, |g| {
+        let deps: Vec<(String, u64)> = sorted_subset(g, 12)
+            .into_iter()
+            .map(|p| (p, g.usize(0..1000) as u64))
+            .collect();
+        let neg_deps = sorted_subset(g, 12);
+        let changed = sorted_subset(g, 4);
+        // The reference: scan every fingerprint path, binary-searching
+        // the change set.
+        let hit = |p: &str| changed.binary_search_by(|c| c.as_str().cmp(p)).is_ok();
+        let scan = deps.iter().any(|(p, _)| hit(p)) || neg_deps.iter().any(|p| hit(p));
+        assert_eq!(
+            crate::corpus::touches(&deps, &neg_deps, &changed),
+            scan,
+            "deps {deps:?} neg {neg_deps:?} changed {changed:?}"
+        );
+    });
+}

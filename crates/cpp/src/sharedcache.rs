@@ -53,7 +53,14 @@
 //!   [`SharedCache::next_generation`] is this full form.
 //!
 //! Artifact entries whose hash is no longer any trusted row's content
-//! ("dead hashes") are reclaimed by [`SharedCache::sweep`].
+//! ("dead hashes") are reclaimed by [`SharedCache::sweep`]. Every
+//! artifact is published under the hash of a row that holds it, so an
+//! artifact can only die when a row goes. The cache therefore counts
+//! the rows holding each hash and remembers the hashes whose last row a
+//! change set dropped; after change-set generations the sweep looks at
+//! those hashes alone, and evicts exactly what a sweep over every row
+//! would. After a full invalidation (or before the first sweep) it
+//! walks every row and artifact.
 //!
 //! Remaining coherence notes:
 //!
@@ -99,7 +106,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use superc_lexer::{FileId, SourcePos, Token, TokenKind};
-use superc_util::{FastMap, FastSet, FxBuildHasher};
+use superc_util::{FastMap, FxBuildHasher};
 
 use crate::directives::{detect_pragma_once, RawGroup, RawItem, RawTest};
 use crate::macrotable::MacroDef;
@@ -508,6 +515,20 @@ struct PathRow {
 /// One lock-guarded slice of the path → [`PathRow`] map.
 type RowShard = RwLock<FastMap<String, PathRow>>;
 
+/// What the next [`SharedCache::sweep`] must look at.
+struct Orphans {
+    /// How many path rows hold each content hash: counted when a row is
+    /// filled, uncounted when a change set drops it, recounted by a full
+    /// sweep. Only a full invalidation's expired rows, which the next
+    /// (full) sweep drops, can leave a count too high.
+    held: FastMap<u64, u32>,
+    /// Hashes whose last row a change set dropped since the last sweep.
+    dropped: Vec<u64>,
+    /// The next sweep walks everything: a full invalidation since the
+    /// last sweep, or no sweep yet.
+    full: bool,
+}
+
 /// The sharded content-hash-keyed artifact map plus the path rows. One
 /// instance per corpus run or pooled runner, shared by `Arc` across
 /// workers; see the module docs for the invalidation protocol.
@@ -524,6 +545,21 @@ pub struct SharedCache {
     /// Files whose bytes were read and hashed (row fills for present
     /// files; absent paths are not counted).
     rehashes: AtomicU64,
+    orphans: Mutex<Orphans>,
+}
+
+impl Orphans {
+    /// Uncounts a dropped row holding `hash`, remembering the hash if
+    /// that was its last row.
+    fn release(&mut self, hash: u64) {
+        match self.held.get_mut(&hash) {
+            Some(n) if *n > 1 => *n -= 1,
+            _ => {
+                self.held.remove(&hash);
+                self.dropped.push(hash);
+            }
+        }
+    }
 }
 
 impl Default for SharedCache {
@@ -547,6 +583,11 @@ impl SharedCache {
             generation: AtomicU64::new(1),
             floor: AtomicU64::new(1),
             rehashes: AtomicU64::new(0),
+            orphans: Mutex::new(Orphans {
+                held: FastMap::default(),
+                dropped: Vec::new(),
+                full: true,
+            }),
         }
     }
 
@@ -587,22 +628,34 @@ impl SharedCache {
     /// each batch boundary (the only point where the file tree may have
     /// been edited) with the paths the tree reports as changed since the
     /// previous boundary: their path rows are dropped and every other
-    /// row stays trusted. `None` — the tree cannot tell — expires every
-    /// row.
+    /// row stays trusted, and the next sweep looks at the hashes the
+    /// dropped rows held. `None` — the tree cannot tell — expires every
+    /// row, and the next sweep walks them all.
     pub fn next_generation_with(&self, changed: Option<&[String]>) -> u64 {
         let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         match changed {
             Some(paths) => {
                 for p in paths {
-                    self.row_shard(p)
+                    let row = self
+                        .row_shard(p)
                         .write()
                         .expect("shared cache shard poisoned")
                         .remove(p.as_str());
+                    if let Some(hash) = row.and_then(|row| Some(row.view.get()?.as_ref()?.hash)) {
+                        self.orphans().release(hash);
+                    }
                 }
             }
-            None => self.floor.store(gen, Ordering::Release),
+            None => {
+                self.floor.store(gen, Ordering::Release);
+                self.orphans().full = true;
+            }
         }
         gen
+    }
+
+    fn orphans(&self) -> std::sync::MutexGuard<'_, Orphans> {
+        self.orphans.lock().expect("shared cache orphans poisoned")
     }
 
     /// `path`'s view in the current generation: its row, filled by one
@@ -645,6 +698,7 @@ impl SharedCache {
             let text = read()?;
             self.rehashes.fetch_add(1, Ordering::Relaxed);
             let hash = SharedCache::content_hash(text.as_bytes());
+            *self.orphans().held.entry(hash).or_default() += 1;
             Some(FileView { hash, text })
         })
         .clone()
@@ -713,27 +767,57 @@ impl SharedCache {
     /// the hash of any trusted path row. Intended to run right after a
     /// batch, when the trusted rows are the batch's files plus every
     /// earlier file no change has touched since it was read; artifacts
-    /// for other files are evicted (they re-enter on next use). Also
-    /// drops the rows a full invalidation expired, with their bytes.
-    /// Returns the number of artifacts evicted.
+    /// for other files are evicted (they re-enter on next use). After
+    /// change-set generations only the hashes whose last row a change
+    /// set dropped can be dead, and only those are looked at; after a
+    /// full invalidation every row and artifact is walked, and the rows
+    /// it expired go with their bytes. Returns the number of artifacts
+    /// evicted.
     pub fn sweep(&self) -> usize {
+        let mut orphans = self.orphans();
+        if orphans.full {
+            return self.sweep_all(&mut orphans);
+        }
+        let mut evicted = 0;
+        for hash in std::mem::take(&mut orphans.dropped) {
+            if !orphans.held.contains_key(&hash) {
+                let mut shard = self
+                    .shard(hash)
+                    .write()
+                    .expect("shared cache shard poisoned");
+                evicted += usize::from(shard.remove(&hash).is_some());
+            }
+        }
+        evicted
+    }
+
+    /// The full sweep: keeps the trusted, filled rows, recounts the
+    /// hashes they hold, and evicts every artifact none holds.
+    fn sweep_all(&self, orphans: &mut Orphans) -> usize {
         let floor = self.floor.load(Ordering::Acquire);
-        let mut live: FastSet<u64> = FastSet::default();
+        let mut held: FastMap<u64, u32> = FastMap::default();
         for rs in &self.rows {
             let mut rows = rs.write().expect("shared cache shard poisoned");
             rows.retain(|_, row| row.gen >= floor && row.view.get().is_some());
-            live.extend(
-                rows.values()
-                    .filter_map(|row| row.view.get()?.as_ref().map(|v| v.hash)),
-            );
+            for hash in rows
+                .values()
+                .filter_map(|row| Some(row.view.get()?.as_ref()?.hash))
+            {
+                *held.entry(hash).or_default() += 1;
+            }
         }
         let mut evicted = 0;
         for s in &self.shards {
             let mut shard = s.write().expect("shared cache shard poisoned");
             let before = shard.len();
-            shard.retain(|h, _| live.contains(h));
+            shard.retain(|h, _| held.contains_key(h));
             evicted += before - shard.len();
         }
+        *orphans = Orphans {
+            held,
+            dropped: Vec::new(),
+            full: false,
+        };
         evicted
     }
 

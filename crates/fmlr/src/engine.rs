@@ -79,6 +79,23 @@ pub enum ParseOutcome {
 const COND_NODE_CHECK_MASK: u64 = 63;
 const TIME_CHECK_MASK: u64 = 511;
 
+/// The first iteration after `i` at which a global budget of `b` can
+/// trip: the step budget's trip iteration, the next condition-node
+/// probe, the next clock probe. `u64::MAX` when no global budget is set.
+fn next_budget_check(b: &ParseBudgets, i: u64) -> u64 {
+    let mut next = u64::MAX;
+    if b.max_steps > 0 {
+        next = next.min(b.max_steps.saturating_add(1));
+    }
+    if b.max_cond_nodes > 0 {
+        next = next.min((i | COND_NODE_CHECK_MASK) + 1);
+    }
+    if b.max_millis > 0 {
+        next = next.min((i | TIME_CHECK_MASK) + 1);
+    }
+    next
+}
+
 /// Result of reclassifying a follow-set token (§5.2).
 pub enum Reclass {
     /// Leave the terminal as classified.
@@ -435,6 +452,7 @@ impl<'g, P: ContextPlugin> Parser<'g, P> {
             trips: Vec::new(),
             budgets,
             armed: !budgets.is_unlimited(),
+            next_check: next_budget_check(&budgets, 0),
             bdd_base,
             started,
             stats: ParseStats::default(),
@@ -471,6 +489,10 @@ struct Run<'a, 'g, P: ContextPlugin> {
     /// `!budgets.is_unlimited()`, precomputed: the ungoverned hot loop
     /// pays exactly one predictable branch for the governance layer.
     armed: bool,
+    /// The iteration at which [`Run::tripped_budget`] next looks at the
+    /// global budgets (see [`next_budget_check`]): until then an armed
+    /// step costs one compare.
+    next_check: u64,
     /// BDD manager node count when the parse started (for the ceiling).
     bdd_base: usize,
     /// Set only when a wall-clock budget is active.
@@ -618,19 +640,25 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
 
     // ----- resource governance -----------------------------------------
 
-    /// Enforces the degrading budgets for the subparser about to step.
-    /// Returns `None` when a *global* budget (steps / condition nodes /
-    /// time) tripped — `p` and every queued subparser were killed and
-    /// recorded, and the main loop should stop. The live-subparser
-    /// ceiling instead sheds the lowest-priority queued subparsers and
-    /// lets `p` proceed.
     /// Which global budget, if any, tripped this iteration. Inlined into
-    /// the main loop: on governed runs this is a handful of predictable
-    /// branches; the costlier probes (BDD node count, wall clock) only
-    /// run every [`COND_NODE_CHECK_MASK`]/[`TIME_CHECK_MASK`] + 1 steps.
+    /// the main loop and the fast path: one compare against the
+    /// countdown until a check is due.
     #[inline]
-    fn tripped_budget(&self) -> Option<(BudgetKind, u64)> {
-        let b = &self.budgets;
+    fn tripped_budget(&mut self) -> Option<(BudgetKind, u64)> {
+        if self.stats.iterations < self.next_check {
+            return None;
+        }
+        self.check_budgets()
+    }
+
+    /// The due check: the step budget trips past `max_steps`
+    /// iterations, the BDD node ceiling is probed every
+    /// [`COND_NODE_CHECK_MASK`] + 1 iterations and the clock every
+    /// [`TIME_CHECK_MASK`] + 1, so each trip fires at the iteration it
+    /// would if every step checked. Sets the next due iteration.
+    #[cold]
+    fn check_budgets(&mut self) -> Option<(BudgetKind, u64)> {
+        let b = self.budgets;
         if b.max_steps > 0 && self.stats.iterations > b.max_steps {
             return Some((BudgetKind::Steps, b.max_steps));
         }
@@ -651,6 +679,7 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
                 return Some((BudgetKind::TimeMs, b.max_millis));
             }
         }
+        self.next_check = next_budget_check(&b, self.stats.iterations);
         None
     }
 
@@ -1355,13 +1384,11 @@ impl<'a, 'g, P: ContextPlugin> Run<'a, 'g, P> {
                 // The main loop counted the first step; replay its
                 // accounting for each further committed step.
                 self.stats.observe_live(self.live + 1);
-                if self.armed {
-                    if let Some((kind, limit)) = self.tripped_budget() {
-                        self.kill_all(kind, limit, cond.clone());
-                        scratch.clear();
-                        self.fast_buf = scratch;
-                        return None;
-                    }
+                if let Some((kind, limit)) = self.tripped_budget() {
+                    self.kill_all(kind, limit, cond.clone());
+                    scratch.clear();
+                    self.fast_buf = scratch;
+                    return None;
                 }
             }
             first = false;

@@ -75,6 +75,17 @@ pub enum Merge {
     Max,
 }
 
+impl Merge {
+    /// Combines two values by this rule.
+    #[inline]
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Max => a.max(b),
+        }
+    }
+}
+
 /// One declared counter of the stats struct `S`.
 pub struct Counter<S> {
     /// The field name.
@@ -100,6 +111,10 @@ pub trait Counted: Clone + 'static {
     /// helpers leave them alone; the struct's own `merge` adds them
     /// bucket-wise.
     const HISTOGRAMS: &'static [&'static str];
+
+    /// [`merge`] with each field's rule compiled in, not read from
+    /// [`Counted::COUNTERS`]: a report merges one of these per unit.
+    fn merge_fields(&mut self, from: &Self);
 }
 
 /// Declares the counters of a stats struct: `field: Class Merge` for
@@ -122,6 +137,13 @@ macro_rules! counters {
                 }
             ),+];
             const HISTOGRAMS: &'static [&'static str] = &[$($(stringify!($hist)),+)?];
+
+            fn merge_fields(&mut self, from: &Self) {
+                $(
+                    self.$field = $crate::counters::Merge::$merge
+                        .apply(self.$field as u64, from.$field as u64) as _;
+                )+
+            }
         }
     };
 }
@@ -129,14 +151,7 @@ macro_rules! counters {
 /// Folds `from` into `into`: sums add, maxima keep the larger value.
 /// Histograms are left to the caller.
 pub fn merge<S: Counted>(into: &mut S, from: &S) {
-    for c in S::COUNTERS {
-        let (a, b) = ((c.get)(into), (c.get)(from));
-        let v = match c.merge {
-            Merge::Sum => a + b,
-            Merge::Max => a.max(b),
-        };
-        (c.set)(into, v);
-    }
+    into.merge_fields(from);
 }
 
 /// The counter mutations from `earlier` to `later`, two snapshots of

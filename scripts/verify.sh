@@ -259,7 +259,8 @@ echo "verify: cross-profile lint byte-identity OK"
 # over stdin/stdout (NDJSON, one response line per request) against the
 # kernel corpus, and byte-compare every parse/lint response with a
 # fresh one-shot CLI run over the same tree — including after an
-# on-disk edit announced with a notify-only edit generation. This is
+# on-disk edit announced with a notify-only edit generation, in every
+# lint format before and after the edit. This is
 # the end-to-end version of tests/daemon.rs: same contract, but through
 # the real process boundary. The coproc gives synchronous
 # request/response turns, so disk edits between requests cannot race
@@ -310,8 +311,14 @@ daemon_check() { # label request-line reference-cli-args...
 
 daemon_check "parse" "{\"cmd\":\"parse\",\"units\":$DAEMON_UNITS}" \
     --jobs 4 "${DUNITS[@]}"
-daemon_check "lint" "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"json\"}" \
-    lint --format json --jobs 4 "${DUNITS[@]}"
+# Every lint format. A request in the format of the one before it
+# reuses the unit fragments the daemon kept (the json request right
+# after the edit does too), and must still match the CLI.
+for fmt in json text text sarif json; do
+    daemon_check "lint $fmt" \
+        "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"$fmt\"}" \
+        lint --format "$fmt" --jobs 4 "${DUNITS[@]}"
+done
 # Edit one unit on disk, announce it with a notify-only generation, and
 # require the next response to match a fresh run over the edited tree —
 # with exactly that unit recomputed and every other unit replayed from
@@ -341,6 +348,13 @@ if [[ $(jq -r .unit_memo_hits <<<"$stats") != $((${#DUNITS[@]} - 1)) ]]; then
     echo "verify: daemon must replay every untouched unit: $stats" >&2
     exit 1
 fi
+# The other formats over the edited tree, after the stats check above
+# has read the edit's batch.
+for fmt in text sarif sarif; do
+    daemon_check "post-edit lint $fmt" \
+        "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"$fmt\"}" \
+        lint --format "$fmt" --jobs 4 "${DUNITS[@]}"
+done
 printf '%s\n' '{"cmd":"shutdown"}' >&"${DAEMON[1]}"
 IFS= read -r resp <&"${DAEMON[0]}"
 if [[ $(jq -r .shutdown <<<"$resp") != true ]]; then

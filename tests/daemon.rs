@@ -14,9 +14,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use superc::analyze::render::json_str;
-use superc::analyze::LintOptions;
+use superc::analyze::{LintCode, LintLevel, LintOptions};
 use superc::cli::{self, LintFormat};
-use superc::corpus::{process_corpus, process_corpus_profiles, CorpusOptions};
+use superc::corpus::{process_corpus, process_corpus_profiles, CorpusOptions, MEMO_MAX_AGE};
 use superc::service::{daemon, Driver, DriverFs};
 use superc::{DiskFs, Options, Profile};
 use superc_util::json::Json;
@@ -348,6 +348,160 @@ fn resolverless_driver_revalidates_only_the_staged_paths() {
             "#include <deep.h>\nint b_fn(void) { return WIDTH + 1; }\n",
         );
         check(&mut driver, "unit edit", 1.0, 1.0);
+    }
+}
+
+/// Units whose lints fire: `d.c` tests a macro nothing defines, `e.c`
+/// has a branch no configuration takes, and both include the shared
+/// chain, so header edits reach them too.
+const LINTED: [(&str, &str); 2] = [
+    (
+        "d.c",
+        "#include <deep.h>\n#ifdef NOT_DEFINED\nint d_extra;\n#endif\nint d_fn(void) { return WIDTH; }\n",
+    ),
+    (
+        "e.c",
+        "#include <deep.h>\n#ifdef CONFIG_E\n#ifndef CONFIG_E\nint e_dead;\n#endif\n#endif\nint e_fn(void) { return 0; }\n",
+    ),
+];
+
+#[test]
+fn resolverless_driver_renders_every_format_and_option_set_like_one_shot() {
+    // One session alternates formats and lint options (one set denies a
+    // lint that fires) with edits in between. The driver keeps each
+    // unit's rendered records while the memo replays the unit, so a
+    // response joins kept and fresh fragments; every response must
+    // still be the bytes of a fresh one-shot render.
+    let units: Vec<String> = ["a.c", "b.c", "c.c", "d.c", "e.c"]
+        .iter()
+        .map(|u| u.to_string())
+        .collect();
+    let mut deny = LintOptions::default();
+    deny.set_level(LintCode::UndefMacroTest, LintLevel::Deny);
+    let option_sets = [LintOptions::default(), deny];
+    // A format twice in a row reuses the last response's fragments; a
+    // round ends in the format it starts with, and the option sets swap
+    // order every round, so the same format and options meet across an
+    // option switch and across every edit.
+    let formats = [
+        LintFormat::Json,
+        LintFormat::Json,
+        LintFormat::Text,
+        LintFormat::Text,
+        LintFormat::Sarif,
+        LintFormat::Json,
+    ];
+    let edits: [(&str, Option<&str>); 4] = [
+        ("include/leaf.h", Some("int leaf_decl(int);\n#define LEAF 2\n")),
+        (
+            "d.c",
+            Some("#include <deep.h>\n#ifdef NOT_DEFINED_EITHER\nint d_x;\n#endif\nint d_fn(void) { return 1; }\n"),
+        ),
+        ("include/deeper.h", Some("#define WIDTH 4\n")),
+        ("e.c", None),
+    ];
+    for jobs in [1usize, 2, 8] {
+        let mut driver = Driver::new(Options::default(), jobs);
+        let mirror = DriverFs::new();
+        for (path, contents) in FIXTURE.iter().chain(&LINTED) {
+            driver
+                .set_file(path, contents)
+                .expect("generation 1 is open");
+            mirror.set(path, contents);
+        }
+        driver.end_generation().expect("commit the staged tree");
+        let (mut denied, mut warned) = (false, false);
+        for round in 0..=edits.len() {
+            let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+            for o in order {
+                let opts = &option_sets[o];
+                for format in formats {
+                    let label = format!("jobs={jobs} round={round} options={o} {format:?}");
+                    let got = driver
+                        .lint_rendered(&units, format, &[], opts, false)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let copts = CorpusOptions {
+                        lint: Some(opts.clone()),
+                        ..CorpusOptions::default()
+                    };
+                    let fresh = process_corpus(&mirror, &units, &Options::default(), &copts);
+                    assert_eq!(
+                        got,
+                        cli::render_lint_report(&fresh, format, false),
+                        "{label}"
+                    );
+                    denied |= got.failed;
+                    warned |= format == LintFormat::Text && got.stdout.contains("warning[");
+                }
+            }
+            if let Some(&(path, contents)) = edits.get(round) {
+                driver.begin_generation().expect("no generation open");
+                match contents {
+                    Some(contents) => {
+                        driver.set_file(path, contents).expect("open");
+                        mirror.set(path, contents);
+                    }
+                    None => {
+                        driver.remove_file(path).expect("open");
+                        mirror.tombstone(path);
+                    }
+                }
+                driver.end_generation().expect("open");
+            }
+        }
+        assert!(
+            denied && warned,
+            "jobs={jobs}: the deny set failed a run and lints fired"
+        );
+    }
+}
+
+#[test]
+fn unit_memo_drops_entries_unproven_for_max_age_generations() {
+    // Lint {a, b}, then only {a} for `gap` batches, then {b}: b's entry
+    // was last proven before the gap, so it replays while the gap stays
+    // under MEMO_MAX_AGE and recomputes once the gap is past it.
+    let (a, b) = (vec!["a.c".to_string()], vec!["b.c".to_string()]);
+    let both = vec!["a.c".to_string(), "b.c".to_string()];
+    let opts = LintOptions::default();
+    let copts = CorpusOptions {
+        lint: Some(opts.clone()),
+        ..CorpusOptions::default()
+    };
+    for (gap, replays) in [(MEMO_MAX_AGE - 1, true), (MEMO_MAX_AGE + 1, false)] {
+        let mut driver = Driver::new(Options::default(), 2);
+        let mirror = DriverFs::new();
+        for (path, contents) in FIXTURE {
+            driver
+                .set_file(path, contents)
+                .expect("generation 1 is open");
+            mirror.set(path, contents);
+        }
+        driver.end_generation().expect("commit the staged tree");
+        let lint = |driver: &mut Driver, units: &[String]| {
+            driver
+                .lint_rendered(units, LintFormat::Json, &[], &opts, false)
+                .expect("lint")
+        };
+        lint(&mut driver, &both);
+        for _ in 0..gap {
+            lint(&mut driver, &a);
+        }
+        let got = lint(&mut driver, &b);
+        let stats = driver.stats();
+        let label = format!("gap={gap}");
+        assert_eq!(
+            stats.unit_memo_misses,
+            u64::from(!replays),
+            "{label}: misses"
+        );
+        assert_eq!(stats.unit_memo_hits, u64::from(replays), "{label}: hits");
+        let fresh = process_corpus(&mirror, &b, &Options::default(), &copts);
+        assert_eq!(
+            got,
+            cli::render_lint_report(&fresh, LintFormat::Json, false),
+            "{label}"
+        );
     }
 }
 

@@ -316,7 +316,7 @@ fn fatal_divergence_surfaces_as_divergent_decl() {
     );
     // Simulate a unit the pipeline could not process under one profile
     // (the firewall path produces exactly this report shape).
-    let unit = &mut report.runs[2].units[0];
+    let unit = std::sync::Arc::make_mut(&mut report.runs[2].units[0]);
     unit.portability.clear();
     unit.lints.clear();
     unit.failure = Some(UnitFailure {

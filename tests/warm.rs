@@ -96,6 +96,7 @@ trait Tree: FileSystem + Send + Sync + Sized + 'static {
     /// A fresh copy of [`fixture`].
     fn fixture() -> Arc<Self>;
     fn edit(&self, path: &str, contents: &str);
+    fn remove(&self, path: &str);
 }
 
 impl Tree for DriverFs {
@@ -107,6 +108,9 @@ impl Tree for DriverFs {
     fn edit(&self, path: &str, contents: &str) {
         self.set(path, contents);
     }
+    fn remove(&self, path: &str) {
+        self.tombstone(path);
+    }
 }
 
 impl Tree for OpaqueFs {
@@ -117,6 +121,9 @@ impl Tree for OpaqueFs {
     }
     fn edit(&self, path: &str, contents: &str) {
         self.0.set(path, contents);
+    }
+    fn remove(&self, path: &str) {
+        self.0.tombstone(path);
     }
 }
 
@@ -566,5 +573,150 @@ fn warm_sweep_evicts_dead_artifacts() {
             cold_len,
             "sweep must evict each edit's dead artifact"
         );
+    }
+}
+
+#[test]
+fn replays_share_the_stored_report() {
+    shared_replays::<DriverFs>();
+    shared_replays::<OpaqueFs>();
+}
+
+/// Untouched units come back as the memo's stored report itself, not a
+/// copy, across a request with no edit and across a one-unit edit.
+fn shared_replays<T: Tree>() {
+    let units = units();
+    for jobs in [1usize, 2, 8] {
+        let label = format!("tree={} jobs={jobs}", T::NAME);
+        let fs = T::fixture();
+        let mut pool = CorpusRunner::new(&options(true), Arc::clone(&fs), jobs);
+        pool.run(&units, &copts(true));
+        let before = pool.run(&units, &copts(true));
+        let again = pool.run(&units, &copts(true));
+        for (b, a) in before.units.iter().zip(&again.units) {
+            assert!(a.memo_hit, "{label}: {}: no edit replays", a.path);
+            assert!(Arc::ptr_eq(b, a), "{label}: {}: no edit shares", a.path);
+        }
+        fs.edit(
+            "b.c",
+            "#include <deep.h>\nint b_fn(void) { return WIDTH + 1; }\n",
+        );
+        let after = pool.run(&units, &copts(true));
+        for (i, (b, a)) in again.units.iter().zip(&after.units).enumerate() {
+            if i == 1 {
+                assert!(!a.memo_hit && !Arc::ptr_eq(b, a), "{label}: b.c recomputes");
+            } else {
+                assert!(Arc::ptr_eq(b, a), "{label}: {}: untouched shares", a.path);
+            }
+        }
+    }
+}
+
+#[test]
+fn targeted_sweep_keeps_what_the_full_sweep_keeps() {
+    // The reporting tree's batches sweep only the hashes whose last row a
+    // change set dropped; the opaque tree's batches sweep everything.
+    // After the same batches over the same edits both caches must hold
+    // the same artifacts. `d.c` includes a twin of `deeper.h` (same
+    // bytes, one hash, two rows), one edit rewrites a file's own bytes
+    // (its hash is dropped and held again in one generation), and one
+    // batch is cold, so two change sets' orphans meet in one sweep. No
+    // edit brings back bytes whose artifact was evicted: a worker whose
+    // own L1 entry still has those bytes serves them without publishing
+    // the artifact again, so with two workers the count would depend on
+    // which worker took the unit.
+    const TWIN: &str = "#ifdef CONFIG_SMP\n#define WIDTH 8\n#else\n#define WIDTH 1\n#endif\nint deeper_decl(void);\n";
+    let mut units = units();
+    units.push("d.c".to_string());
+    type Step = (
+        &'static str,
+        Option<(&'static str, Option<&'static str>)>,
+        bool,
+    );
+    let steps: [Step; 10] = [
+        ("fill", None, true),
+        ("no edit", None, true),
+        (
+            "same bytes",
+            Some((
+                "include/leaf.h",
+                Some("int leaf_decl(int);\n#define LEAF 1\n"),
+            )),
+            true,
+        ),
+        (
+            "leaf edit",
+            Some((
+                "include/leaf.h",
+                Some("int leaf_decl(int);\n#define LEAF 2\n"),
+            )),
+            true,
+        ),
+        (
+            "twin edit",
+            Some(("include/twin.h", Some("#define WIDTH 3\n"))),
+            true,
+        ),
+        ("twin revert", Some(("include/twin.h", Some(TWIN))), true),
+        (
+            "cold leaf edit",
+            Some((
+                "include/leaf.h",
+                Some("int leaf_decl(int);\n#define LEAF 3\n"),
+            )),
+            false,
+        ),
+        (
+            "shadow",
+            Some(("leaf.h", Some("int leaf_shadow;\n#define LEAF 7\n"))),
+            true,
+        ),
+        ("unshadow", Some(("leaf.h", None)), true),
+        (
+            "unit edit",
+            Some((
+                "b.c",
+                Some("#include <deep.h>\nint b_fn(void) { return 2; }\n"),
+            )),
+            true,
+        ),
+    ];
+    for jobs in [1usize, 2] {
+        let trees = (DriverFs::fixture(), OpaqueFs::fixture());
+        trees.0.edit("include/twin.h", TWIN);
+        trees.1.edit("include/twin.h", TWIN);
+        trees.0.edit(
+            "d.c",
+            "#include <twin.h>\nint d_fn(void) { return WIDTH; }\n",
+        );
+        trees.1.edit(
+            "d.c",
+            "#include <twin.h>\nint d_fn(void) { return WIDTH; }\n",
+        );
+        let opts = options(true);
+        let mut reporting = CorpusRunner::new(&opts, Arc::clone(&trees.0), jobs);
+        let mut opaque = CorpusRunner::new(&opts, Arc::clone(&trees.1), jobs);
+        for (label, edit, warm) in steps {
+            match edit {
+                Some((path, Some(contents))) => {
+                    trees.0.edit(path, contents);
+                    trees.1.edit(path, contents);
+                }
+                Some((path, None)) => {
+                    trees.0.remove(path);
+                    trees.1.remove(path);
+                }
+                None => {}
+            }
+            let a = reporting.run(&units, &copts(warm));
+            let b = opaque.run(&units, &copts(warm));
+            a.check_same(&b, SAME_MODE)
+                .unwrap_or_else(|d| panic!("jobs={jobs} {label}: {d}"));
+            assert_eq!(
+                reporting.shared_cache().len(),
+                opaque.shared_cache().len(),
+                "jobs={jobs} {label}: artifacts kept"
+            );
+        }
     }
 }
