@@ -116,7 +116,7 @@ impl fmt::Display for LintCode {
 }
 
 /// What to do with a lint's findings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LintLevel {
     /// Suppress entirely (the lint does not even run).
     Allow,
@@ -138,7 +138,7 @@ impl LintLevel {
 }
 
 /// Which lints run, and how loudly.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct LintOptions {
     levels: [LintLevel; LintCode::ALL.len()],
     /// Name prefixes exempt from `undef-macro-test`: configuration

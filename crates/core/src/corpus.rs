@@ -16,12 +16,12 @@
 //! another.
 //!
 //! There is **one scheduler with two hosts**. Every entry point builds
-//! one batch and runs the same worker claim loop (memo lookup, panic
-//! firewall, memo store) and the same reassembly into per-profile
-//! reports; the hosts differ only in where the worker threads come
-//! from. [`process_corpus`] and [`process_corpus_profiles`] run
-//! transient scoped threads over a borrowed tree; a [`CorpusRunner`]
-//! feeds the same batches to a persistent pool.
+//! one batch and runs the same worker claim loop (memo probe, panic
+//! firewall) and the same reassembly into per-profile reports; the
+//! hosts differ only in where the worker threads come from.
+//! [`process_corpus`] and [`process_corpus_profiles`] run transient
+//! scoped threads over a borrowed tree; a [`CorpusRunner`] feeds the
+//! same batches to a persistent pool.
 //!
 //! What is *shared* read-only across workers — the immutable artifact
 //! layer, built once per process:
@@ -73,15 +73,15 @@
 //!
 //! A pooled runner may legitimately see the file tree **edited between
 //! batches** (never during one). Coherence is generation-based: every
-//! batch starts a new shared-cache generation, whose path rows are read
-//! afresh where the tree may have changed; each worker's L1 entries are
-//! checked against their row's hash, and unchanged files keep their
-//! artifacts while edited ones miss into a lex of the row's bytes. The
-//! batch asks its tree what changed ([`FileSystem::take_changes`]): a
-//! tree that keeps a log of its writes (a resolver-less `DriverFs`)
-//! names the edited paths, and only those are read and hashed again; a
-//! tree that cannot tell (`DiskFs`, a resolver) has every path read
-//! again on first touch.
+//! batch starts a new shared-cache generation, which drops the path row
+//! of every path that may have changed, so those are read afresh; each
+//! worker's L1 entries are checked against their row's hash, and
+//! unchanged files keep their artifacts while edited ones miss into a
+//! lex of the row's bytes. The batch asks its tree what changed
+//! ([`FileSystem::take_changes`]): a tree that keeps a log of its
+//! writes (a resolver-less `DriverFs`) names the edited paths, and only
+//! those rows go; a tree that cannot tell (`DiskFs`, a resolver) loses
+//! every row, and every path is read again on first touch.
 //!
 //! On top of that, [`CorpusOptions::warm`] enables the pool's **unit
 //! result memo**: each completed unit is stored under its path, an
@@ -91,17 +91,20 @@
 //! revalidates the fingerprint — pure path-row lookups, no lexing — and
 //! on a match replays the stored [`UnitReport`], shared rather than
 //! copied, without scheduling any preprocessing, parsing, or linting.
-//! When the tree named its changes, the calling thread replays every
-//! entry valid in the previous batch whose fingerprint names no changed
-//! path before the batch is dispatched, so a served request's workers
-//! see only what its edit touched, and a request with no edit wakes
-//! none. Entries no batch has proven for [`MEMO_MAX_AGE`] generations
-//! are dropped. Replayed reports are byte-identical to what a cold run
-//! over the same tree would produce (that is gated in `tests/warm.rs`,
-//! `bench_snapshot`, and verify.sh); only the `schedule` gauges and
-//! `memo_hit` differ, and [`UnitReport::view`] leaves both out. Units
-//! are **not** memoized when they tripped a resource budget, failed, or
-//! panicked.
+//! The runner owns the memo, and only its calling thread reads or
+//! writes it. Before dispatch it replays every entry valid in the
+//! previous batch whose fingerprint names no path of the batch's change
+//! set, so a served request's workers see only what its edit touched,
+//! and a request with no edit wakes none. Every other task goes to a
+//! worker with its entry's fingerprint, which the worker probes through
+//! the path rows; after the join the calling thread stamps the proofs,
+//! stores the fingerprints of recomputed units, and drops entries no
+//! batch has proven for [`MEMO_MAX_AGE`] generations. Replayed reports
+//! are byte-identical to what a cold run over the same tree would
+//! produce (that is gated in `tests/warm.rs`, `bench_snapshot`, and
+//! verify.sh); only the `schedule` gauges and `memo_hit` differ, and
+//! [`UnitReport::view`] leaves both out. Units are **not** memoized when
+//! they tripped a resource budget, failed, or panicked.
 //!
 //! # Determinism
 //!
@@ -131,8 +134,9 @@
 //! fast-path matrices) uses it.
 
 use std::collections::BTreeMap;
+use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -143,6 +147,7 @@ use superc_cpp::{FileSystem, PpStats, Profile, Severity, SharedCache};
 use superc_csyntax::unparse_config;
 use superc_fmlr::{BudgetTrip, ParseOutcome, ParseStats};
 use superc_util::counters::{project, Class};
+use superc_util::{FastMap, FxBuildHasher};
 
 use crate::{Options, ProcessedUnit, SuperC};
 
@@ -189,7 +194,7 @@ pub struct CorpusOptions {
 }
 
 /// Per-unit text captures for testing and inspection.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Capture {
     /// Capture the preprocessed unit rendered as `#if`-annotated text.
     ///
@@ -221,14 +226,17 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A structured record of a unit the pipeline could not process: either
-/// a fatal preprocessor error or a panic caught by the per-unit firewall.
-/// One poisoned unit becomes one of these rows instead of taking down a
-/// worker (and with it the whole corpus run).
+/// A structured record of a unit the pipeline could not process: a
+/// fatal preprocessor error, a panic caught by the per-unit firewall, or
+/// a unit no worker answered. One poisoned unit becomes one of these
+/// rows instead of taking down a worker (and with it the whole corpus
+/// run).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitFailure {
     /// Pipeline stage that failed: `"preprocess"` for fatal preprocessor
-    /// errors, `"panic"` for the firewall.
+    /// errors, `"panic"` for the firewall, `"worker"` when no worker
+    /// answered the unit: none could start, or the one that claimed it
+    /// died outside the firewall.
     pub stage: String,
     /// The error or panic message (deterministic for a given input).
     pub message: String,
@@ -517,11 +525,11 @@ fn chunk_size(n_units: usize, workers: usize) -> usize {
     }
 }
 
-/// The process-wide unit result memo behind warm re-runs: completed
-/// [`UnitReport`]s keyed by `(unit path, options signature)`, each
+/// A pooled runner's unit result memo behind warm re-runs: completed
+/// [`UnitReport`]s keyed by `(options signature, unit path)`, each
 /// guarded by the include-closure dependency fingerprint recorded when
-/// it was produced. A lookup revalidates every dependency's current
-/// content hash (cheap: per-generation hash-memo probes) and replays
+/// it was produced. A probe revalidates every dependency's current
+/// content hash (cheap: per-generation path-row lookups) and replays
 /// the stored report only on a full match, so any edit inside the
 /// unit's closure — or a change to anything the signature covers —
 /// falls through to a real run. Entries overwrite on re-store, so an
@@ -530,32 +538,38 @@ fn chunk_size(n_units: usize, workers: usize) -> usize {
 ///
 /// Fingerprints carry both halves of include resolution: the files
 /// that **were** read (path, content hash) and the probe paths that
-/// **failed** (`Preprocessor::unit_neg_deps`). A lookup misses when
-/// any positive dependency's hash changed *or* any formerly-absent
-/// probe path now exists — creating a file that shadows a header
-/// earlier on the include path invalidates exactly the units whose
-/// resolution walked past that path.
+/// **failed** (`Preprocessor::unit_neg_deps`). A probe misses when any
+/// positive dependency's hash changed *or* any formerly-absent probe
+/// path now exists — creating a file that shadows a header earlier on
+/// the include path invalidates exactly the units whose resolution
+/// walked past that path.
+///
+/// **One owner.** The [`CorpusRunner`] owns the memo, and only its
+/// calling thread reads or writes it. Before dispatch it replays what
+/// the batch's change set leaves valid ([`UnitMemo::sort_out`]) and
+/// hands every other task its entry's immutable [`Stored`] half; a
+/// worker probes that through the path rows and answers with the
+/// stored report or a recomputed one plus the entry to store. After
+/// the join the calling thread stamps proofs, stores, and evicts.
 ///
 /// **Sorted out before dispatch.** Each entry records the generation in
 /// which it was last proven valid. When the tree reported its changes
 /// since the previous generation and the entry was valid in that
 /// generation, the entry is still valid unless one of its dependency
-/// paths (positive or negative) is among the changed ones. The calling
-/// thread applies that test to every task before the batch is
-/// dispatched ([`MemoCtx::sort_out`]), looking each changed path up in
-/// the sorted fingerprint: O(|changed| · log |deps|) per task, and a
-/// served edit changes about one path. A small Bloom filter of the
-/// fingerprint's paths answers first, so nearly every entry the change
-/// does not name is ruled out without reading its path strings. Only
-/// the tasks the calling thread cannot answer reach the workers, which
-/// take the full probe.
+/// paths (positive or negative) is among the changed ones: a lookup of
+/// each changed path in the sorted fingerprint, O(|changed| · log
+/// |deps|) per task, and a served edit changes about one path. A small
+/// Bloom filter of the fingerprint's paths answers first, so nearly
+/// every entry the change does not name is ruled out without reading
+/// its path strings. An entry that sat out a batch missed that batch's
+/// change set, so it takes the full probe.
 ///
 /// **Bounded by age.** After every warm batch, entries not proven in
 /// the last [`MEMO_MAX_AGE`] generations are dropped.
+#[derive(Default)]
 struct UnitMemo {
     /// Entries by options signature, then unit path.
-    entries:
-        std::sync::RwLock<superc_util::FastMap<u64, superc_util::FastMap<String, Arc<MemoEntry>>>>,
+    entries: FastMap<u64, FastMap<String, MemoEntry>>,
 }
 
 /// How many generations a unit memo entry may go unproven before the
@@ -570,6 +584,16 @@ struct UnitMemo {
 pub const MEMO_MAX_AGE: u64 = 64;
 
 struct MemoEntry {
+    /// What the entry stores; a worker that probes it gets a share.
+    stored: Arc<Stored>,
+    /// The latest generation in which the entry was proven valid: by
+    /// its store, a worker's probe, or the sort-out.
+    proven: u64,
+}
+
+/// The immutable half of a memo entry: the fingerprint a probe checks
+/// and the report a replay shares.
+struct Stored {
     /// Sorted `(path, content hash)` include closure at store time.
     deps: Vec<(String, u64)>,
     /// Sorted failed include-resolution probe paths at store time: the
@@ -579,11 +603,6 @@ struct MemoEntry {
     sketch: PathSketch,
     /// The stored report, with `memo_hit` set; every replay shares it.
     report: Arc<UnitReport>,
-    /// The latest generation in which the entry was proven valid (by
-    /// its store, a full probe, or the calling thread's sort-out).
-    /// Relaxed: it publishes no other data, and the runner's channels
-    /// order one batch's stamps before the next batch's reads.
-    proven: AtomicU64,
 }
 
 /// Does any path of the sorted `changed` set appear in a fingerprint:
@@ -608,8 +627,7 @@ impl PathSketch {
     /// The two bits `path` sets: two 9-bit slices of the top of its
     /// FxHash, whose multiply mixes the high bits best.
     fn bits(path: &str) -> [usize; 2] {
-        use std::hash::BuildHasher;
-        let h = superc_util::FxBuildHasher::default().hash_one(path);
+        let h = FxBuildHasher::default().hash_one(path);
         [(h >> 55) as usize, (h >> 46) as usize & 511]
     }
 
@@ -625,10 +643,38 @@ impl PathSketch {
     }
 }
 
-impl MemoEntry {
-    /// [`touches`] for this entry's fingerprint, given the changed
-    /// paths' [`PathSketch::bits`]: the sketch rules a change out, and
-    /// a "may" is settled by path.
+impl Stored {
+    /// The entry to store for a unit a worker just recomputed, from the
+    /// fingerprint its preprocessor observed. `None` for units with no
+    /// recorded fingerprint, budget-degraded units (wall-clock budgets
+    /// make their outcome schedule-dependent), and failed or panicked
+    /// units — those recompute every time.
+    fn new(deps: Vec<(String, u64)>, neg_deps: Vec<String>, report: &UnitReport) -> Option<Stored> {
+        if deps.is_empty()
+            || report.partial
+            || report.parse.budget_trips > 0
+            || report.failure.is_some()
+        {
+            return None;
+        }
+        let mut sketch = PathSketch::default();
+        for path in deps.iter().map(|(p, _)| p).chain(&neg_deps) {
+            sketch.insert(path);
+        }
+        Some(Stored {
+            deps,
+            neg_deps,
+            sketch,
+            report: Arc::new(UnitReport {
+                memo_hit: true,
+                ..report.clone()
+            }),
+        })
+    }
+
+    /// [`touches`] for this fingerprint, given the changed paths'
+    /// [`PathSketch::bits`]: the sketch rules a change out, and a "may"
+    /// is settled by path.
     fn touched_by(&self, changed: &[String], bits: &[[usize; 2]]) -> bool {
         bits.iter().any(|&b| self.sketch.may_hold(b))
             && touches(&self.deps, &self.neg_deps, changed)
@@ -647,10 +693,64 @@ impl MemoEntry {
 }
 
 impl UnitMemo {
-    fn new() -> UnitMemo {
-        UnitMemo {
-            entries: std::sync::RwLock::new(superc_util::FastMap::default()),
+    /// The memo's share of a warm batch in generation `gen`, before
+    /// dispatch: `sigs` holds one options signature per profile row. With
+    /// a change set (`changed`, sorted), each task whose entry was proven
+    /// in the previous generation and whose fingerprint names no changed
+    /// path is still valid, so its stored report goes straight into
+    /// `slots[t]`, stamped with `gen`, without a probe. Returns the tasks
+    /// left for the workers, in grid order, each with its entry for the
+    /// worker to probe.
+    fn sort_out(
+        &mut self,
+        units: &[String],
+        sigs: &[u64],
+        changed: Option<&[String]>,
+        gen: u64,
+        slots: &mut [Option<Arc<UnitReport>>],
+    ) -> Vec<Task> {
+        let bits: Vec<[usize; 2]> = changed
+            .unwrap_or_default()
+            .iter()
+            .map(|c| PathSketch::bits(c))
+            .collect();
+        let mut rest = Vec::new();
+        for (p, sig) in sigs.iter().enumerate() {
+            let mut row = self.entries.get_mut(sig);
+            for (u, path) in units.iter().enumerate() {
+                let t = p * units.len() + u;
+                match row.as_mut().and_then(|row| row.get_mut(path)) {
+                    Some(e)
+                        if e.proven + 1 == gen
+                            && changed.is_some_and(|c| !e.stored.touched_by(c, &bits)) =>
+                    {
+                        e.proven = gen;
+                        slots[t] = Some(Arc::clone(&e.stored.report));
+                    }
+                    e => rest.push((t, path.clone(), e.map(|e| Arc::clone(&e.stored)))),
+                }
+            }
         }
+        rest
+    }
+
+    /// Stamps the entry a worker's probe proved valid in generation `gen`.
+    fn prove(&mut self, sig: u64, path: &str, gen: u64) {
+        if let Some(e) = self.entries.get_mut(&sig).and_then(|row| row.get_mut(path)) {
+            e.proven = gen;
+        }
+    }
+
+    /// Stores a unit recomputed in generation `gen`.
+    fn store(&mut self, sig: u64, path: &str, stored: Stored, gen: u64) {
+        let entry = MemoEntry {
+            stored: Arc::new(stored),
+            proven: gen,
+        };
+        self.entries
+            .entry(sig)
+            .or_default()
+            .insert(path.to_string(), entry);
     }
 
     /// Drops the entries not proven in the last [`MEMO_MAX_AGE`]
@@ -658,61 +758,64 @@ impl UnitMemo {
     /// left (`gen` if none): stamps only grow and new entries start at
     /// their batch's generation, so nothing can fall due before that
     /// proof does.
-    fn evict_unproven(&self, gen: u64) -> u64 {
-        let mut entries = self.entries.write().expect("unit memo poisoned");
+    fn evict_unproven(&mut self, gen: u64) -> u64 {
         let mut oldest = gen;
-        for row in entries.values_mut() {
+        for row in self.entries.values_mut() {
             row.retain(|_, e| {
-                let proven = e.proven.load(Ordering::Relaxed);
-                let keep = gen - proven < MEMO_MAX_AGE;
+                let keep = gen - e.proven < MEMO_MAX_AGE;
                 if keep {
-                    oldest = oldest.min(proven);
+                    oldest = oldest.min(e.proven);
                 }
                 keep
             });
         }
-        entries.retain(|_, row| !row.is_empty());
+        self.entries.retain(|_, row| !row.is_empty());
         oldest
     }
 }
 
 /// The options/profile signature a memo entry is stored under: an
-/// FxHash over the debug rendering of everything that can change a
-/// unit's output — backend, parser config (fast path, budgets), all
-/// preprocessor options (profile, defines, include paths, fused
-/// lexing, single-config mode), resource budgets, and the per-batch
-/// capture/lint/portability/panic-injection options. Two batches whose
-/// signatures match would produce byte-identical reports for an
-/// unchanged unit.
-fn options_sig(options: &Options, copts: &CorpusOptions) -> u64 {
-    use std::hash::BuildHasher;
-    let desc = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        options.backend,
-        options.parser,
-        options.pp,
-        options.budgets,
-        copts.capture,
-        copts.lint,
+/// FxHash of everything that can change a unit's output — the pool's
+/// options (backend, parser config with its fast path and budgets,
+/// preprocessor options with defines, include paths, fused lexing and
+/// single-config mode, resource budgets) under the row's `profile`, and
+/// the batch's capture, lint, portability and panic-injection options.
+/// Two batches whose signatures match would produce byte-identical
+/// reports for an unchanged unit. The pool's own profile is hashed too;
+/// it is the same for every batch of a pool.
+fn options_sig(options: &Options, profile: &Profile, copts: &CorpusOptions) -> u64 {
+    FxBuildHasher::default().hash_one((
+        options,
+        profile,
+        &copts.capture,
+        &copts.lint,
         copts.portability,
-        copts.inject_panic,
-    );
-    superc_util::FxBuildHasher::default().hash_one(desc.as_bytes())
+        &copts.inject_panic,
+    ))
+}
+
+/// One task a worker runs: its grid id, its unit's path, and on a warm
+/// batch the unit's memo entry (if any), which the worker probes first.
+type Task = (usize, String, Option<Arc<Stored>>);
+
+/// Every task of the `units × rows` grid, in grid order, with no memo
+/// entry to probe.
+fn every_task(units: &[String], rows: usize) -> Vec<Task> {
+    (0..units.len() * rows)
+        .map(|t| (t, units[t % units.len()].clone(), None))
+        .collect()
 }
 
 /// One run over the `units × profiles` task grid, shared by every worker
 /// of the run: task `t = p * n_units + u` parses unit `u` under
 /// `profiles[p]`. The workers claim `chunk` consecutive entries of
 /// `tasks` per `cursor` increment: every task of the grid, or the ones
-/// the calling thread could not replay itself. With `memo` set (a
-/// pooled warm re-run), workers consult and fill the pool's unit result
-/// memo.
+/// the calling thread could not replay itself.
 struct Batch {
     /// Units per profile row.
     n_units: usize,
-    /// The tasks left for the workers, in grid order, each with its
-    /// unit's path.
-    tasks: Vec<(usize, String)>,
+    /// The tasks left for the workers, in grid order.
+    tasks: Vec<Task>,
     profiles: Vec<Profile>,
     copts: CorpusOptions,
     /// Workers running this batch: the requested count, capped at the
@@ -720,66 +823,63 @@ struct Batch {
     workers: usize,
     cursor: AtomicUsize,
     chunk: usize,
-    memo: Option<MemoCtx>,
 }
 
 impl Batch {
-    /// A batch over the grid of `units` × `profiles` whose workers run
-    /// `tasks` (sorted task ids).
+    /// A batch over the grid of `n_units` units × `profiles` whose
+    /// workers run `tasks`.
     fn new(
-        units: &[String],
+        n_units: usize,
         profiles: Vec<Profile>,
         copts: CorpusOptions,
         jobs: usize,
-        memo: Option<MemoCtx>,
-        tasks: Vec<usize>,
+        tasks: Vec<Task>,
     ) -> Batch {
-        let n_tasks = units.len() * profiles.len();
+        let n_tasks = n_units * profiles.len();
         let workers = if tasks.is_empty() && n_tasks > 0 {
             0
         } else {
             jobs.min(tasks.len()).max(1)
         };
         Batch {
-            n_units: units.len(),
+            n_units,
             chunk: chunk_size(tasks.len(), workers),
-            tasks: tasks
-                .into_iter()
-                .map(|t| (t, units[t % units.len()].clone()))
-                .collect(),
+            tasks,
             profiles,
             copts,
             workers,
             cursor: AtomicUsize::new(0),
-            memo,
         }
     }
 
     /// Reassembles the grid's reports into one [`CorpusReport`] per
     /// profile, each in unit input order: `slots` holds the tasks the
-    /// calling thread replayed (`replayed` of them), the workers'
-    /// outputs fill the rest. Every task was answered exactly once and
-    /// every merged counter is a sum or max, so the result is
+    /// calling thread replayed, the workers' outputs fill the rest, and
+    /// a task no worker answered — none could start, or the one that
+    /// claimed it died outside the panic firewall — gets a `"worker"`
+    /// failure row. Every task was answered exactly once and every
+    /// merged counter is a sum or max, so the result is
     /// schedule-independent. The per-profile preprocessor/parser
     /// counters are exact sums over that profile's units; the grid-wide
-    /// gauges — context stats (a worker's tools serve every row), memo
-    /// counters and `files_rehashed` — land on profile 0's run (they
-    /// are outside the determinism contract either way). A batch that
-    /// dispatched no worker reports `workers` 0 and empty context gauges
-    /// (`cond` all zero, `bdd` `None`): no worker reported any.
+    /// gauges — context stats (a worker's tools serve every row), `memo`
+    /// hits and misses and `files_rehashed` — land on profile 0's run
+    /// (they are outside the determinism contract either way). A batch
+    /// that dispatched no worker reports `workers` 0 and empty context
+    /// gauges (`cond` all zero, `bdd` `None`): no worker reported any.
     fn assemble(
         &self,
         mut slots: Vec<Option<Arc<UnitReport>>>,
-        replayed: u64,
         outputs: Vec<WorkerOutput>,
         wall: Duration,
+        memo: (u64, u64),
         files_rehashed: u64,
     ) -> ProfilesReport {
         let mut cond = CondStats::default();
         let mut bdd: Option<BddStats> = None;
-        let (mut memo_hits, mut memo_misses) = (replayed, 0);
         for out in outputs {
             for (t, report) in out.units {
+                // Each task is in one chunk, claimed once, and absent from
+                // the calling thread's replays.
                 debug_assert!(slots[t].is_none(), "task {t} answered twice");
                 slots[t] = Some(report);
             }
@@ -787,14 +887,20 @@ impl Batch {
             if let Some(b) = out.bdd {
                 bdd.get_or_insert_with(BddStats::default).merge(&b);
             }
-            memo_hits += out.memo_hits;
-            memo_misses += out.memo_misses;
+        }
+        for (t, path, _) in &self.tasks {
+            slots[*t].get_or_insert_with(|| {
+                let lost = "no corpus worker answered this unit";
+                Arc::new(UnitReport::failed(path, "worker", lost))
+            });
         }
         let mut slots = slots.into_iter();
         let runs = (0..self.profiles.len())
             .map(|p| {
                 let units: Vec<Arc<UnitReport>> = (&mut slots)
                     .take(self.n_units)
+                    // Cannot fire: a task the calling thread did not
+                    // replay is in `tasks`, filled just above.
                     .map(|s| s.expect("every task answered"))
                     .collect();
                 let run = CorpusReport::new(units, self.workers, wall);
@@ -804,8 +910,8 @@ impl Batch {
                 CorpusReport {
                     cond,
                     bdd,
-                    unit_memo_hits: memo_hits,
-                    unit_memo_misses: memo_misses,
+                    unit_memo_hits: memo.0,
+                    unit_memo_misses: memo.1,
                     files_rehashed,
                     ..run
                 }
@@ -820,15 +926,16 @@ impl Batch {
     }
 }
 
-/// What one worker hands back from one batch: its task-indexed reports,
-/// the condition-context gauges of all its tools, and its memo counters.
+/// What one worker hands back from one batch: its task-indexed reports
+/// (a memo replay is the entry's own report, with `memo_hit` set), the
+/// memo entries to store for the units it recomputed in a warm batch,
+/// and the condition-context gauges of all its tools.
 #[derive(Default)]
 struct WorkerOutput {
     units: Vec<(usize, Arc<UnitReport>)>,
+    stored: Vec<(usize, Stored)>,
     cond: CondStats,
     bdd: Option<BddStats>,
-    memo_hits: u64,
-    memo_misses: u64,
 }
 
 /// One worker's mutable layer: a tool per distinct [`Profile`] it has
@@ -878,11 +985,12 @@ impl<G: FileSystem + Clone> Worker<G> {
     /// The claim loop: pull chunks of tasks off the batch's cursor until
     /// its task list is exhausted, firewalling each one.
     ///
-    /// With a memo (a pooled warm re-run), each task first consults the
-    /// result memo under its profile's signature — a hit replays the
-    /// cached report and skips the pipeline entirely — and each
-    /// recomputed task is stored back with the include-closure
-    /// fingerprint the preprocessor just observed.
+    /// A task handed a memo entry (a pooled warm re-run) probes it
+    /// first through the path rows: a valid entry replays its stored
+    /// report and skips the pipeline entirely. On a warm batch each
+    /// recomputed unit hands back the entry to store, with the
+    /// include-closure fingerprint the preprocessor just observed. The
+    /// worker never touches the memo itself.
     ///
     /// On a caught panic the tool may hold arbitrary mid-unit state, so
     /// that profile's tool is rebuilt — only the **mutable layer** (BDD
@@ -898,18 +1006,18 @@ impl<G: FileSystem + Clone> Worker<G> {
             if base >= n_tasks {
                 break;
             }
-            for (t, path) in &batch.tasks[base..(base + batch.chunk).min(n_tasks)] {
-                let (t, p) = (*t, t / batch.n_units);
+            for (t, path, probe) in &batch.tasks[base..(base + batch.chunk).min(n_tasks)] {
+                let p = t / batch.n_units;
                 let profile = &batch.profiles[p];
                 let i = *rows[p].get_or_insert_with(|| self.tool_for(profile));
                 let tool = &mut self.tools[i].1;
-                if let Some(memo) = &batch.memo {
-                    if let Some(hit) = memo.lookup(path, p, &|q| tool.preprocessor().dep_hash(q)) {
-                        out.memo_hits += 1;
-                        out.units.push((t, hit));
-                        continue;
-                    }
-                    out.memo_misses += 1;
+                let pp = tool.preprocessor();
+                if let Some(valid) = probe
+                    .as_ref()
+                    .filter(|e| e.revalidates(&|q| pp.dep_hash(q)))
+                {
+                    out.units.push((*t, Arc::clone(&valid.report)));
+                    continue;
                 }
                 // Panic firewall: a poisoned unit becomes a structured
                 // failure row instead of unwinding through the thread join.
@@ -920,11 +1028,13 @@ impl<G: FileSystem + Clone> Worker<G> {
                         UnitReport::failed(path, "panic", &format!("panic: {message}"))
                     }
                 };
-                if let Some(memo) = &batch.memo {
+                if batch.copts.warm {
                     let pp = self.tools[i].1.preprocessor();
-                    memo.store(path, p, pp.unit_deps(), pp.unit_neg_deps(), &report);
+                    if let Some(e) = Stored::new(pp.unit_deps(), pp.unit_neg_deps(), &report) {
+                        out.stored.push((*t, e));
+                    }
                 }
-                out.units.push((t, Arc::new(report)));
+                out.units.push((*t, Arc::new(report)));
             }
         }
         // The gauges cover every tool the worker holds. A pooled worker
@@ -946,14 +1056,16 @@ impl<G: FileSystem + Clone> Worker<G> {
 /// `superc_cpp::sharedcache` for the invalidation protocol), but a
 /// one-shot run never leaves its first generation: files only change at
 /// batch boundaries, and this host runs exactly one batch. A lone worker
-/// runs on the calling thread.
+/// runs on the calling thread. There is no memo to fill, so
+/// [`CorpusOptions::warm`] is ignored.
 fn run_scoped<F: FileSystem + Sync>(
     fs: &F,
     units: &[String],
     options: &Options,
     profiles: Vec<Profile>,
-    copts: CorpusOptions,
+    mut copts: CorpusOptions,
 ) -> ProfilesReport {
+    copts.warm = false;
     let jobs = if copts.jobs == 0 {
         default_jobs()
     } else {
@@ -962,29 +1074,26 @@ fn run_scoped<F: FileSystem + Sync>(
     let shared: Option<Arc<SharedCache>> =
         (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
     let start = Instant::now();
-    let tasks = (0..units.len() * profiles.len()).collect();
-    let batch = Batch::new(units, profiles, copts, jobs, None, tasks);
+    let tasks = every_task(units, profiles.len());
+    let batch = Batch::new(units.len(), profiles, copts, jobs, tasks);
     let work = || Worker::new(options.clone(), fs, shared.clone()).run(&batch);
     let outputs: Vec<WorkerOutput> = if batch.workers == 1 {
         vec![work()]
     } else {
         std::thread::scope(|s| {
+            // A thread the OS refuses, or one that dies outside the
+            // panic firewall, leaves its tasks to the other workers or
+            // to a failure row (see `Batch::assemble`).
             let handles: Vec<_> = (0..batch.workers)
-                .map(|_| {
-                    worker_thread()
-                        .spawn_scoped(s, work)
-                        .expect("spawn corpus worker")
-                })
+                .filter_map(|_| worker_thread().spawn_scoped(s, work).ok())
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("corpus worker panicked"))
-                .collect()
+            handles.into_iter().filter_map(|h| h.join().ok()).collect()
         })
     };
     let wall = start.elapsed();
     let slots = vec![None; batch.tasks.len()];
-    batch.assemble(slots, 0, outputs, wall, shared.map_or(0, |s| s.rehashes()))
+    let rehashed = shared.map_or(0, |s| s.rehashes());
+    batch.assemble(slots, outputs, wall, (0, 0), rehashed)
 }
 
 /// The cross-profile corpus rollup: one [`CorpusReport`] per profile,
@@ -1131,7 +1240,8 @@ impl ProfilesReport {
 ///
 /// [`CorpusOptions::portability`] is forced on — the per-unit slices
 /// are what [`ProfilesReport::lint_records`] diffs. The determinism
-/// contract of [`process_corpus`] carries over per profile run.
+/// contract of [`process_corpus`] carries over per profile run. An
+/// empty `profiles` list is an empty grid: a report with no runs.
 pub fn process_corpus_profiles<F: FileSystem + Sync>(
     fs: &F,
     units: &[String],
@@ -1139,129 +1249,9 @@ pub fn process_corpus_profiles<F: FileSystem + Sync>(
     profiles: &[Profile],
     copts: &CorpusOptions,
 ) -> ProfilesReport {
-    assert!(!profiles.is_empty(), "at least one profile");
     let mut copts = copts.clone();
     copts.portability = true;
     run_scoped(fs, units, options, profiles.to_vec(), copts)
-}
-
-/// The warm-mode context a batch carries to every worker: the pool's
-/// result memo, one options signature per profile row, and the batch's
-/// generation.
-struct MemoCtx {
-    memo: Arc<UnitMemo>,
-    sigs: Vec<u64>,
-    /// The batch's shared-cache generation.
-    gen: u64,
-}
-
-impl MemoCtx {
-    /// The calling thread's share of a batch over a tree that reported
-    /// its changes (`changed`, sorted): each task whose entry was proven
-    /// in the previous generation and whose fingerprint names no
-    /// changed path is still valid, so its stored report goes straight
-    /// into `slots[t]`, stamped with this generation, without a probe.
-    /// Returns the tasks left for the workers, in grid order.
-    fn sort_out(
-        &self,
-        units: &[String],
-        changed: &[String],
-        slots: &mut [Option<Arc<UnitReport>>],
-    ) -> Vec<usize> {
-        let bits: Vec<[usize; 2]> = changed.iter().map(|c| PathSketch::bits(c)).collect();
-        let entries = self.memo.entries.read().expect("unit memo poisoned");
-        let mut rest = Vec::new();
-        for (p, sig) in self.sigs.iter().enumerate() {
-            let row = entries.get(sig);
-            // Find every entry first, then test them: a loop of lookups
-            // alone lets their cache misses overlap.
-            let found: Vec<Option<&Arc<MemoEntry>>> = units
-                .iter()
-                .map(|path| row.and_then(|row| row.get(path)))
-                .collect();
-            for (u, entry) in found.into_iter().enumerate() {
-                let t = p * units.len() + u;
-                match entry {
-                    Some(e)
-                        if e.proven.load(Ordering::Relaxed) + 1 == self.gen
-                            && !e.touched_by(changed, &bits) =>
-                    {
-                        e.proven.store(self.gen, Ordering::Relaxed);
-                        slots[t] = Some(Arc::clone(&e.report));
-                    }
-                    _ => rest.push(t),
-                }
-            }
-        }
-        rest
-    }
-
-    /// Replays the stored report for `path` under profile `p`'s
-    /// signature if the full probe proves it valid in this batch's
-    /// generation.
-    fn lookup(
-        &self,
-        path: &str,
-        p: usize,
-        dep_hash: &dyn Fn(&str) -> Option<u64>,
-    ) -> Option<Arc<UnitReport>> {
-        let entry = self
-            .memo
-            .entries
-            .read()
-            .expect("unit memo poisoned")
-            .get(&self.sigs[p])?
-            .get(path)
-            .cloned()?;
-        if !entry.revalidates(dep_hash) {
-            return None;
-        }
-        entry.proven.store(self.gen, Ordering::Relaxed);
-        Some(Arc::clone(&entry.report))
-    }
-
-    /// Stores a unit completed in this batch under profile `p`'s
-    /// signature. Bypassed for units with no recorded fingerprint,
-    /// budget-degraded units (wall-clock budgets make their outcome
-    /// schedule-dependent), and failed or panicked units — those
-    /// recompute every time.
-    fn store(
-        &self,
-        path: &str,
-        p: usize,
-        deps: Vec<(String, u64)>,
-        neg_deps: Vec<String>,
-        report: &UnitReport,
-    ) {
-        if deps.is_empty()
-            || report.partial
-            || report.parse.budget_trips > 0
-            || report.failure.is_some()
-        {
-            return;
-        }
-        let mut sketch = PathSketch::default();
-        for path in deps.iter().map(|(p, _)| p).chain(&neg_deps) {
-            sketch.insert(path);
-        }
-        let entry = MemoEntry {
-            sketch,
-            deps,
-            neg_deps,
-            report: Arc::new(UnitReport {
-                memo_hit: true,
-                ..report.clone()
-            }),
-            proven: AtomicU64::new(self.gen),
-        };
-        self.memo
-            .entries
-            .write()
-            .expect("unit memo poisoned")
-            .entry(self.sigs[p])
-            .or_default()
-            .insert(path.to_string(), Arc::new(entry));
-    }
 }
 
 /// A persistent pool of corpus workers, reused across batches.
@@ -1298,7 +1288,7 @@ impl MemoCtx {
 /// assert_eq!(first.behavior_counters(), again.behavior_counters());
 /// ```
 pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
-    jobs: usize,
+    /// One channel per live worker.
     txs: Vec<mpsc::Sender<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     /// The pool-wide L2 cache and path rows; the runner starts a
@@ -1306,8 +1296,8 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     /// changed paths again.
     shared: Arc<SharedCache>,
     /// The pool's unit result memo, filled and consulted by warm
-    /// batches ([`CorpusOptions::warm`]).
-    memo: Arc<UnitMemo>,
+    /// batches ([`CorpusOptions::warm`]) on the calling thread only.
+    memo: UnitMemo,
     /// The first generation at which a memo entry can be past
     /// [`MEMO_MAX_AGE`]: the age check skips the memo before it.
     evict_due: u64,
@@ -1338,15 +1328,18 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
                     let _ = done.send(worker.run(&batch));
                 }
             });
-            handles.push(spawned.expect("spawn corpus worker"));
-            txs.push(tx);
+            // A thread the OS refuses leaves the pool smaller; a pool
+            // with no worker answers every task with a failure row.
+            if let Ok(handle) = spawned {
+                handles.push(handle);
+                txs.push(tx);
+            }
         }
         CorpusRunner {
-            jobs,
             txs,
             handles,
             shared,
-            memo: Arc::new(UnitMemo::new()),
+            memo: UnitMemo::default(),
             evict_due: 0,
             options: options.clone(),
             fs,
@@ -1355,7 +1348,7 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
 
     /// The pool's worker count.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.txs.len()
     }
 
     /// The pool-wide shared L2 cache. Exposed so tests and benchmarks
@@ -1376,14 +1369,14 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     /// determinism contract of [`process_corpus_profiles`], the warm
     /// workers of a pool. Each worker keeps one tool per profile it has
     /// touched alive across batches, so a profiles ladder (benchmark
-    /// reps, a test matrix) pays the per-profile spin-up once.
+    /// reps, a test matrix) pays the per-profile spin-up once. An empty
+    /// `profiles` list gives a report with no runs.
     pub fn run_profiles(
         &mut self,
         units: &[String],
         profiles: &[Profile],
         copts: &CorpusOptions,
     ) -> ProfilesReport {
-        assert!(!profiles.is_empty(), "at least one profile");
         let mut copts = copts.clone();
         copts.portability = true;
         self.run_grid(units, profiles.to_vec(), copts)
@@ -1393,16 +1386,17 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     ///
     /// A batch starts by asking the tree what changed since the previous
     /// batch and starting a shared-cache generation that reads exactly
-    /// those paths again (every path when the tree cannot tell). On a
-    /// warm batch over a tree that named its changes, the calling thread
-    /// then replays every memo entry the changes leave valid
-    /// ([`MemoCtx::sort_out`]); the remaining tasks go out as one
-    /// [`Batch`] to the pool, and a batch with none left wakes no worker.
-    /// A warm batch ends by sweeping the artifacts its generation
-    /// orphaned out of the L2 and dropping memo entries past
-    /// [`MEMO_MAX_AGE`] (cold pools churn no hashes and fill no memo, so
-    /// there is nothing to evict). `files_rehashed` counts this batch's
-    /// rehashes.
+    /// those paths again (every path when the tree cannot tell). A warm
+    /// batch then sorts its tasks out on the calling thread
+    /// ([`UnitMemo::sort_out`]): what the change set leaves valid is
+    /// replayed, and every other task goes out with its memo entry as
+    /// one [`Batch`] to the pool; a batch with none left wakes no
+    /// worker. After the join, a warm batch stamps the entries its
+    /// workers proved, stores the entries they return for recomputed
+    /// units, counts memo hits and misses, sweeps the artifacts its
+    /// generation orphaned out of the L2, and drops memo entries past
+    /// [`MEMO_MAX_AGE`] (cold pools fill no memo and have no orphan
+    /// worth a sweep). `files_rehashed` counts this batch's rehashes.
     fn run_grid(
         &mut self,
         units: &[String],
@@ -1418,43 +1412,61 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         let gen = self.shared.next_generation_with(changed.as_deref());
         // One signature per row: the profile changes output, and
         // everything else is identical across the grid.
-        let memo = copts.warm.then(|| MemoCtx {
-            memo: Arc::clone(&self.memo),
-            sigs: profiles
-                .iter()
-                .map(|p| {
-                    let mut opts = self.options.clone();
-                    opts.pp.profile = p.clone();
-                    options_sig(&opts, &copts)
-                })
-                .collect(),
-            gen,
-        });
+        let sigs: Vec<u64> = profiles
+            .iter()
+            .map(|p| options_sig(&self.options, p, &copts))
+            .collect();
         let mut slots = vec![None; units.len() * profiles.len()];
-        let tasks = match (&memo, &changed) {
-            (Some(memo), Some(changed)) => memo.sort_out(units, changed, &mut slots),
-            _ => (0..slots.len()).collect(),
+        let tasks = if copts.warm {
+            let changed = changed.as_deref();
+            self.memo.sort_out(units, &sigs, changed, gen, &mut slots)
+        } else {
+            every_task(units, profiles.len())
         };
         let replayed = (slots.len() - tasks.len()) as u64;
         let rehash_base = self.shared.rehashes();
-        let batch = Arc::new(Batch::new(units, profiles, copts, self.jobs, memo, tasks));
+        let batch = Arc::new(Batch::new(units.len(), profiles, copts, self.jobs(), tasks));
         let (done_tx, done_rx) = mpsc::channel();
-        for tx in self.txs.iter().take(batch.workers) {
-            tx.send((Arc::clone(&batch), done_tx.clone()))
-                .expect("pool worker alive");
-        }
+        let mut sent = 0;
+        self.txs.retain(|tx| {
+            if sent == batch.workers {
+                return true;
+            }
+            // A worker that died outside the panic firewall has closed
+            // its channel: it leaves the pool, and the others take its
+            // share.
+            let alive = tx.send((Arc::clone(&batch), done_tx.clone())).is_ok();
+            sent += usize::from(alive);
+            alive
+        });
         drop(done_tx);
-        let outputs: Vec<WorkerOutput> = done_rx.iter().collect();
-        assert_eq!(outputs.len(), batch.workers, "pool worker died mid-batch");
+        let mut outputs: Vec<WorkerOutput> = done_rx.iter().collect();
         let wall = start.elapsed();
         let rehashed = self.shared.rehashes() - rehash_base;
+        let (mut hits, mut misses) = (replayed, 0);
         if batch.copts.warm {
+            let at = |t: usize| (sigs[t / units.len()], units[t % units.len()].as_str());
+            for out in &mut outputs {
+                for (t, report) in &out.units {
+                    if report.memo_hit {
+                        hits += 1;
+                        let (sig, path) = at(*t);
+                        self.memo.prove(sig, path, gen);
+                    } else {
+                        misses += 1;
+                    }
+                }
+                for (t, stored) in out.stored.drain(..) {
+                    let (sig, path) = at(t);
+                    self.memo.store(sig, path, stored, gen);
+                }
+            }
             self.shared.sweep();
             if gen >= self.evict_due {
                 self.evict_due = self.memo.evict_unproven(gen) + MEMO_MAX_AGE;
             }
         }
-        batch.assemble(slots, replayed, outputs, wall, rehashed)
+        batch.assemble(slots, outputs, wall, (hits, misses), rehashed)
     }
 }
 

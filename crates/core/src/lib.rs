@@ -114,7 +114,7 @@ pub struct ProcessedUnit {
 /// [`ParseOutcome::Partial`] result. See `crates/fmlr` for the
 /// per-budget determinism notes (`max_cond_nodes`/`max_millis` are
 /// schedule-dependent safety nets).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Budgets {
     /// Live-subparser ceiling (`--max-subparsers`).
     pub max_subparsers: usize,
@@ -142,7 +142,7 @@ impl Budgets {
 }
 
 /// End-to-end configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Options {
     /// Presence-condition representation: BDDs (SuperC) or formula+SAT
     /// (the TypeChef-style baseline of Figure 9).

@@ -124,7 +124,7 @@ pub struct CondSite {
 }
 
 /// Preprocessor configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct PpOptions {
     /// Search paths for includes (after the including file's directory).
     pub include_paths: Vec<String>,

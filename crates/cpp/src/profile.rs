@@ -26,7 +26,7 @@
 ///
 /// A profile carries one of these; standalone construction is kept for
 /// tests and custom embeddings.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Builtins {
     /// `(name, replacement-text)` pairs, object-like.
     pub defs: Vec<(String, String)>,
@@ -122,7 +122,7 @@ impl Builtins {
 /// hard-code as "gcc semantics" in two places; hoisting it here gives
 /// each profile one seat at the single decision point
 /// (`Preprocessor::fold_free_idents` / `note_folded_idents`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UndefIdentPolicy {
     /// gcc/clang default: the identifier silently evaluates to `0`.
     Zero,
@@ -143,7 +143,7 @@ pub enum UndefIdentPolicy {
 /// assert!(Profile::named("gcc-windows").is_none());
 /// assert_eq!(Profile::default().name, "gcc-linux");
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Profile {
     /// Stable profile name (`gcc-linux`, `msvc-windows`, ...), carried
     /// into portability diagnostics.

@@ -40,27 +40,21 @@
 //! generation, files are treated as immutable (the rows are
 //! authoritative). The pooled corpus runner starts a generation before
 //! every batch with [`SharedCache::next_generation_with`], passing the
-//! paths its tree reports as changed since the previous batch:
+//! paths its tree reports as changed since the previous batch. There is
+//! one rule: **a new generation drops the rows of every path that may
+//! have changed**, and every other row stays trusted without a read. A
+//! change set names those paths; with no change set (a tree that cannot
+//! enumerate its edits, such as a disk tree or a resolver callback)
+//! every path may have changed, so every row is dropped and each path is
+//! read again on first touch. [`SharedCache::next_generation`] is that
+//! form.
 //!
-//! * **A change set** drops exactly those paths' rows; every other row
-//!   is restamped into the new generation and stays trusted without a
-//!   read. The restamp costs nothing: rows carry the generation they
-//!   were filled in, and a row is trusted while that generation is at or
-//!   above the cache's *floor*, which a change set leaves in place.
-//! * **No change set** (a tree that cannot enumerate its edits, such as
-//!   a disk tree or a resolver callback) raises the floor to the new
-//!   generation: every row expires and is read again on first touch.
-//!   [`SharedCache::next_generation`] is this full form.
-//!
-//! Artifact entries whose hash is no longer any trusted row's content
-//! ("dead hashes") are reclaimed by [`SharedCache::sweep`]. Every
-//! artifact is published under the hash of a row that holds it, so an
-//! artifact can only die when a row goes. The cache therefore counts
-//! the rows holding each hash and remembers the hashes whose last row a
-//! change set dropped; after change-set generations the sweep looks at
-//! those hashes alone, and evicts exactly what a sweep over every row
-//! would. After a full invalidation (or before the first sweep) it
-//! walks every row and artifact.
+//! Artifact entries whose hash is no longer any row's content ("dead
+//! hashes") are reclaimed by [`SharedCache::sweep`]. Every artifact is
+//! published under the hash of a row that holds it, so an artifact can
+//! only die when a row goes. The cache therefore counts the rows holding
+//! each hash and remembers the hashes whose last row a generation
+//! dropped, and the sweep looks at those hashes alone.
 //!
 //! Remaining coherence notes:
 //!
@@ -74,7 +68,7 @@
 //! * **Rows keep the bytes.** A row holds the `Arc<str>` the tree handed
 //!   out, so over an in-memory tree it shares the tree's own copy, while
 //!   a disk or resolver tree keeps one copy per touched file until the
-//!   row is dropped or swept.
+//!   row is dropped.
 //! * **Positions are restamped on thaw.** Token positions embed the
 //!   lexing worker's [`FileId`], which is a per-worker notion; the
 //!   frozen form stores only line/column and the thaw stamps the local
@@ -103,10 +97,11 @@
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 use superc_lexer::{FileId, SourcePos, Token, TokenKind};
-use superc_util::{FastMap, FxBuildHasher};
+use superc_util::{FastMap, FastSet, FxBuildHasher};
 
 use crate::directives::{detect_pragma_once, RawGroup, RawItem, RawTest};
 use crate::macrotable::MacroDef;
@@ -503,14 +498,11 @@ pub struct FileView {
     pub text: Arc<str>,
 }
 
-/// One path's row behind [`SharedCache::view`]: the generation it was
-/// filled in, and a once-cell holding the read's outcome (`None` inside
-/// = absent). The cell is shared so a worker can wait for another
-/// worker's read without holding the shard lock.
-struct PathRow {
-    gen: u64,
-    view: Arc<OnceLock<Option<FileView>>>,
-}
+/// One path's row behind [`SharedCache::view`]: a once-cell holding the
+/// read's outcome (`None` inside = absent). The cell is shared so a
+/// worker can wait for another worker's read without holding the shard
+/// lock.
+type PathRow = Arc<OnceLock<Option<FileView>>>;
 
 /// One lock-guarded slice of the path → [`PathRow`] map.
 type RowShard = RwLock<FastMap<String, PathRow>>;
@@ -518,15 +510,12 @@ type RowShard = RwLock<FastMap<String, PathRow>>;
 /// What the next [`SharedCache::sweep`] must look at.
 struct Orphans {
     /// How many path rows hold each content hash: counted when a row is
-    /// filled, uncounted when a change set drops it, recounted by a full
-    /// sweep. Only a full invalidation's expired rows, which the next
-    /// (full) sweep drops, can leave a count too high.
+    /// filled, uncounted when a generation drops it.
     held: FastMap<u64, u32>,
-    /// Hashes whose last row a change set dropped since the last sweep.
-    dropped: Vec<u64>,
-    /// The next sweep walks everything: a full invalidation since the
-    /// last sweep, or no sweep yet.
-    full: bool,
+    /// Hashes whose last row a generation dropped since the last sweep.
+    /// A set: a pool that never sweeps (a cold one) drops the same rows
+    /// generation after generation.
+    dropped: FastSet<u64>,
 }
 
 /// The sharded content-hash-keyed artifact map plus the path rows. One
@@ -538,10 +527,6 @@ pub struct SharedCache {
     /// Current generation; bumped by [`SharedCache::next_generation_with`]
     /// at batch boundaries.
     generation: AtomicU64,
-    /// Oldest generation whose path rows are still trusted: raised to
-    /// the current generation by a full invalidation, kept by a
-    /// targeted one.
-    floor: AtomicU64,
     /// Files whose bytes were read and hashed (row fills for present
     /// files; absent paths are not counted).
     rehashes: AtomicU64,
@@ -549,17 +534,39 @@ pub struct SharedCache {
 }
 
 impl Orphans {
-    /// Uncounts a dropped row holding `hash`, remembering the hash if
-    /// that was its last row.
-    fn release(&mut self, hash: u64) {
+    /// Uncounts a dropped row, remembering its hash if that was the
+    /// hash's last row. An absent path's row, or one whose read never
+    /// finished, holds no hash.
+    fn release(&mut self, row: Option<PathRow>) {
+        let Some(hash) = row.and_then(|row| Some(row.get()?.as_ref()?.hash)) else {
+            return;
+        };
         match self.held.get_mut(&hash) {
             Some(n) if *n > 1 => *n -= 1,
             _ => {
                 self.held.remove(&hash);
-                self.dropped.push(hash);
+                self.dropped.insert(hash);
             }
         }
     }
+}
+
+// The cache's locks never fail. Every critical section under a shard or
+// orphan lock is a map lookup, insert, removal or counter step, none of
+// which panics, so no lock is poisoned; and if one were, its map would
+// still be a valid cache of what a re-read or re-lex rebuilds (the
+// artifact slots recover the same way, in `get_or_make`).
+
+fn read<T>(rw: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rw.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(rw: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rw.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for SharedCache {
@@ -581,12 +588,10 @@ impl SharedCache {
             shards,
             rows,
             generation: AtomicU64::new(1),
-            floor: AtomicU64::new(1),
             rehashes: AtomicU64::new(0),
             orphans: Mutex::new(Orphans {
                 held: FastMap::default(),
-                dropped: Vec::new(),
-                full: true,
+                dropped: FastSet::default(),
             }),
         }
     }
@@ -618,8 +623,8 @@ impl SharedCache {
     }
 
     /// Starts a new generation in which every path must be read again
-    /// before its row is trusted (the full form of
-    /// [`SharedCache::next_generation_with`]).
+    /// before its row is trusted (the form of
+    /// [`SharedCache::next_generation_with`] without a change set).
     pub fn next_generation(&self) -> u64 {
         self.next_generation_with(None)
     }
@@ -628,34 +633,26 @@ impl SharedCache {
     /// each batch boundary (the only point where the file tree may have
     /// been edited) with the paths the tree reports as changed since the
     /// previous boundary: their path rows are dropped and every other
-    /// row stays trusted, and the next sweep looks at the hashes the
-    /// dropped rows held. `None` — the tree cannot tell — expires every
-    /// row, and the next sweep walks them all.
+    /// row stays trusted. `None` — the tree cannot tell — drops every
+    /// row. Either way the next sweep looks at the hashes whose last row
+    /// went.
     pub fn next_generation_with(&self, changed: Option<&[String]>) -> u64 {
-        let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let mut orphans = lock(&self.orphans);
         match changed {
             Some(paths) => {
                 for p in paths {
-                    let row = self
-                        .row_shard(p)
-                        .write()
-                        .expect("shared cache shard poisoned")
-                        .remove(p.as_str());
-                    if let Some(hash) = row.and_then(|row| Some(row.view.get()?.as_ref()?.hash)) {
-                        self.orphans().release(hash);
-                    }
+                    orphans.release(write(self.row_shard(p)).remove(p.as_str()));
                 }
             }
             None => {
-                self.floor.store(gen, Ordering::Release);
-                self.orphans().full = true;
+                for rows in self.rows.iter() {
+                    for (_, row) in write(rows).drain() {
+                        orphans.release(Some(row));
+                    }
+                }
             }
         }
-        gen
-    }
-
-    fn orphans(&self) -> std::sync::MutexGuard<'_, Orphans> {
-        self.orphans.lock().expect("shared cache orphans poisoned")
+        self.generation.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// `path`'s view in the current generation: its row, filled by one
@@ -666,39 +663,28 @@ impl SharedCache {
     /// Single flight: when another worker is already reading `path` in
     /// this generation, this call waits for its answer instead of
     /// reading the file again.
-    pub fn view(&self, path: &str, read: impl FnOnce() -> Option<Arc<str>>) -> Option<FileView> {
-        let floor = self.floor.load(Ordering::Acquire);
+    pub fn view(
+        &self,
+        path: &str,
+        read_file: impl FnOnce() -> Option<Arc<str>>,
+    ) -> Option<FileView> {
         let shard = self.row_shard(path);
-        let cell = {
-            let rows = shard.read().expect("shared cache shard poisoned");
-            match rows.get(path).filter(|row| row.gen >= floor) {
-                Some(row) => match row.view.get() {
-                    Some(known) => return known.clone(),
-                    None => Arc::clone(&row.view),
-                },
-                None => {
-                    drop(rows);
-                    let mut rows = shard.write().expect("shared cache shard poisoned");
-                    match rows.get(path).filter(|row| row.gen >= floor) {
-                        Some(row) => Arc::clone(&row.view),
-                        None => {
-                            let cell = Arc::new(OnceLock::new());
-                            let row = PathRow {
-                                gen: self.generation(),
-                                view: Arc::clone(&cell),
-                            };
-                            rows.insert(path.to_string(), row);
-                            cell
-                        }
-                    }
-                }
+        let rows = read(shard);
+        let cell = match rows.get(path) {
+            Some(row) => match row.get() {
+                Some(known) => return known.clone(),
+                None => Arc::clone(row),
+            },
+            None => {
+                drop(rows);
+                Arc::clone(write(shard).entry(path.to_string()).or_default())
             }
         };
         cell.get_or_init(|| {
-            let text = read()?;
+            let text = read_file()?;
             self.rehashes.fetch_add(1, Ordering::Relaxed);
             let hash = SharedCache::content_hash(text.as_bytes());
-            *self.orphans().held.entry(hash).or_default() += 1;
+            *lock(&self.orphans).held.entry(hash).or_default() += 1;
             Some(FileView { hash, text })
         })
         .clone()
@@ -709,11 +695,16 @@ impl SharedCache {
     /// waiter join an in-flight read.
     #[cfg(test)]
     pub(crate) fn row_holders(&self, path: &str) -> usize {
-        self.row_shard(path)
-            .read()
-            .expect("shared cache shard poisoned")
+        read(self.row_shard(path))
             .get(path)
-            .map_or(0, |row| Arc::strong_count(&row.view))
+            .map_or(0, Arc::strong_count)
+    }
+
+    /// Hashes the next sweep will look at. Lets a test see that
+    /// generations without a sweep do not pile them up.
+    #[cfg(test)]
+    pub(crate) fn orphans_pending(&self) -> usize {
+        lock(&self.orphans).dropped.len()
     }
 
     /// The artifact for `hash`, made at most once per process. The
@@ -728,7 +719,7 @@ impl SharedCache {
         make: impl FnOnce() -> Result<(T, SharedArtifact), E>,
     ) -> Result<Lookup<T>, E> {
         let slot = self.slot(hash);
-        let mut artifact = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut artifact = lock(&slot);
         if let Some(art) = &*artifact {
             return Ok(Lookup::Hit(Arc::clone(art)));
         }
@@ -740,15 +731,8 @@ impl SharedCache {
     /// `hash`'s slot, inserted empty if no caller has asked before.
     fn slot(&self, hash: u64) -> Slot {
         let shard = self.shard(hash);
-        let found = shard
-            .read()
-            .expect("shared cache shard poisoned")
-            .get(&hash)
-            .map(Arc::clone);
-        found.unwrap_or_else(|| {
-            let mut shard = shard.write().expect("shared cache shard poisoned");
-            Arc::clone(shard.entry(hash).or_default())
-        })
+        let found = read(shard).get(&hash).map(Arc::clone);
+        found.unwrap_or_else(|| Arc::clone(write(shard).entry(hash).or_default()))
     }
 
     /// How many handles share `hash`'s slot: the map plus each caller
@@ -756,69 +740,27 @@ impl SharedCache {
     /// waiter join an in-flight lex.
     #[cfg(test)]
     pub(crate) fn slot_holders(&self, hash: u64) -> usize {
-        self.shard(hash)
-            .read()
-            .expect("shared cache shard poisoned")
+        read(self.shard(hash))
             .get(&hash)
             .map_or(0, Arc::strong_count)
     }
 
     /// Evicts artifacts for **dead hashes**: entries whose hash is not
-    /// the hash of any trusted path row. Intended to run right after a
-    /// batch, when the trusted rows are the batch's files plus every
-    /// earlier file no change has touched since it was read; artifacts
-    /// for other files are evicted (they re-enter on next use). After
-    /// change-set generations only the hashes whose last row a change
-    /// set dropped can be dead, and only those are looked at; after a
-    /// full invalidation every row and artifact is walked, and the rows
-    /// it expired go with their bytes. Returns the number of artifacts
-    /// evicted.
+    /// the hash of any path row. Intended to run right after a batch,
+    /// when the rows are the batch's files plus every earlier file no
+    /// change has touched since it was read; artifacts for other files
+    /// are evicted (they re-enter on next use). Only a hash whose last
+    /// row a generation dropped can be dead, so only those are looked
+    /// at: a served request's sweep costs its edit, not the tree.
+    /// Returns the number of artifacts evicted.
     pub fn sweep(&self) -> usize {
-        let mut orphans = self.orphans();
-        if orphans.full {
-            return self.sweep_all(&mut orphans);
-        }
-        let mut evicted = 0;
-        for hash in std::mem::take(&mut orphans.dropped) {
-            if !orphans.held.contains_key(&hash) {
-                let mut shard = self
-                    .shard(hash)
-                    .write()
-                    .expect("shared cache shard poisoned");
-                evicted += usize::from(shard.remove(&hash).is_some());
-            }
-        }
-        evicted
-    }
-
-    /// The full sweep: keeps the trusted, filled rows, recounts the
-    /// hashes they hold, and evicts every artifact none holds.
-    fn sweep_all(&self, orphans: &mut Orphans) -> usize {
-        let floor = self.floor.load(Ordering::Acquire);
-        let mut held: FastMap<u64, u32> = FastMap::default();
-        for rs in &self.rows {
-            let mut rows = rs.write().expect("shared cache shard poisoned");
-            rows.retain(|_, row| row.gen >= floor && row.view.get().is_some());
-            for hash in rows
-                .values()
-                .filter_map(|row| Some(row.view.get()?.as_ref()?.hash))
-            {
-                *held.entry(hash).or_default() += 1;
-            }
-        }
-        let mut evicted = 0;
-        for s in &self.shards {
-            let mut shard = s.write().expect("shared cache shard poisoned");
-            let before = shard.len();
-            shard.retain(|h, _| held.contains_key(h));
-            evicted += before - shard.len();
-        }
-        *orphans = Orphans {
-            held,
-            dropped: Vec::new(),
-            full: false,
-        };
-        evicted
+        let mut orphans = lock(&self.orphans);
+        let Orphans { held, dropped } = &mut *orphans;
+        dropped
+            .drain()
+            .filter(|hash| !held.contains_key(hash))
+            .filter(|hash| write(self.shard(*hash)).remove(hash).is_some())
+            .count()
     }
 
     /// Files read and hashed so far (row fills for present files,
@@ -829,16 +771,9 @@ impl SharedCache {
 
     /// Number of published artifacts across all shards.
     pub fn len(&self) -> usize {
-        let published = |slot: &Slot| {
-            let artifact = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            artifact.is_some()
-        };
         self.shards
             .iter()
-            .map(|s| {
-                let shard = s.read().expect("shared cache shard poisoned");
-                shard.values().filter(|slot| published(slot)).count()
-            })
+            .map(|s| read(s).values().filter(|slot| lock(slot).is_some()).count())
             .sum()
     }
 

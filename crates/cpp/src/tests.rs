@@ -1109,6 +1109,35 @@ fn sweep_evicts_dead_hashes_and_keeps_live_ones() {
 }
 
 #[test]
+fn generations_without_a_sweep_keep_one_orphan_per_content() {
+    // A cold pool starts a generation per batch with no change set and
+    // never sweeps: every generation drops every row and releases its
+    // hash. Over the same files, the hashes awaiting a sweep stay one
+    // per distinct content instead of growing per generation, and the
+    // sweep that finally runs evicts nothing the rows still hold.
+    let cache = SharedCache::new();
+    let files = [
+        ("a.h", "int a;\n"),
+        ("twin.h", "int a;\n"),
+        ("b.h", "int b;\n"),
+    ];
+    for _ in 0..50 {
+        cache.next_generation();
+        for (path, text) in files {
+            cache.view(path, || Some(std::sync::Arc::<str>::from(text)));
+        }
+    }
+    assert_eq!(cache.rehashes(), 150, "every generation reads every path");
+    assert!(
+        cache.orphans_pending() <= 2,
+        "{} orphans for 2 contents",
+        cache.orphans_pending()
+    );
+    assert_eq!(cache.sweep(), 0, "every content is still held");
+    assert_eq!(cache.orphans_pending(), 0);
+}
+
+#[test]
 fn warm_worker_revalidates_its_l1_across_generations() {
     // One worker, two batches: the worker's L1 entry for an edited file
     // must be evicted at the generation boundary (hash mismatch) while

@@ -31,7 +31,7 @@ use crate::stats::ParseStats;
 /// worker counts. `max_cond_nodes` and `max_millis` are safety nets whose
 /// trip points depend on shared-manager warmth and wall-clock speed —
 /// enabling them forfeits the byte-identical-reports guarantee.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ParseBudgets {
     /// Ceiling on simultaneously live subparsers; excess lowest-priority
     /// queued subparsers are killed (condition-scoped), the rest resume.
@@ -162,7 +162,7 @@ impl ContextPlugin for NullContext {
 
 /// Engine configuration: optimization toggles matching the paper's
 /// Figure 8 ablation, plus the MAPR baseline.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct ParserConfig {
     /// Use the token follow-set (Alg. 3). `false` = MAPR's naive
     /// per-branch forking.

@@ -319,6 +319,18 @@ for fmt in json text text sarif json; do
         "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"$fmt\"}" \
         lint --format "$fmt" --jobs 4 "${DUNITS[@]}"
 done
+# The disk-rooted tree cannot say what changed, so every memoized unit
+# goes to a worker with its entry and is probed through the path rows:
+# the last pre-edit request must still replay every unit.
+stats=$(daemon_request '{"cmd":"stats"}')
+if [[ $(jq -r .unit_memo_misses <<<"$stats") != 0 ]]; then
+    echo "verify: daemon must recompute nothing before the edit: $stats" >&2
+    exit 1
+fi
+if [[ $(jq -r .unit_memo_hits <<<"$stats") != "${#DUNITS[@]}" ]]; then
+    echo "verify: daemon must replay every unit before the edit: $stats" >&2
+    exit 1
+fi
 # Edit one unit on disk, announce it with a notify-only generation, and
 # require the next response to match a fresh run over the edited tree —
 # with exactly that unit recomputed and every other unit replayed from

@@ -27,9 +27,11 @@
 //! — edited-closure units recompute, untouched units replay — and the
 //! batch hashed exactly the files its revalidation path must read.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use superc::analyze::LintOptions;
+use superc::analyze::{LintCode, LintLevel, LintOptions};
+use superc::cli::{self, LintFormat};
 use superc::corpus::{
     process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusRunner,
 };
@@ -719,4 +721,171 @@ fn targeted_sweep_keeps_what_the_full_sweep_keeps() {
             );
         }
     }
+}
+
+#[test]
+fn a_batch_that_changes_one_input_recomputes_every_unit() {
+    // One pool over an unedited tree. Each variant differs from the base
+    // batch in one input the options signature covers: a lint level, a
+    // capture flag, or a profile that keeps its name and adds one
+    // built-in. Every variant recomputes every unit, and the base batch
+    // after it replays every unit.
+    let units = units();
+    let n = units.len() as u64;
+    let opts = options(true);
+    let fs = Arc::new(fixture());
+    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2);
+    let gcc = Profile::named("gcc-linux").expect("shipped profile");
+    let mut denied = LintOptions::default();
+    denied.set_level(LintCode::DeadBranch, LintLevel::Deny);
+    let ast = Capture {
+        ast: true,
+        ..Capture::default()
+    };
+    let mut extra = gcc.clone();
+    extra
+        .builtins
+        .defs
+        .push(("__SUPERC_EXTRA__".to_string(), "1".to_string()));
+    let variants = [
+        (
+            "lint level",
+            CorpusOptions {
+                lint: Some(denied),
+                ..copts(true)
+            },
+            gcc.clone(),
+        ),
+        (
+            "capture flag",
+            CorpusOptions {
+                capture: ast,
+                ..copts(true)
+            },
+            gcc.clone(),
+        ),
+        ("built-in", copts(true), extra),
+    ];
+    let mut batch = |label: &str, copts: &CorpusOptions, profile: &Profile, hits: u64| {
+        let row = std::slice::from_ref(profile);
+        let warm = pool.run_profiles(&units, row, copts);
+        let cold_opts = CorpusOptions {
+            warm: false,
+            ..copts.clone()
+        };
+        let cold = process_corpus_profiles(&*fs, &units, &opts, row, &cold_opts);
+        cold.runs[0]
+            .check_same(&warm.runs[0], SAME_MODE)
+            .unwrap_or_else(|d| panic!("{label}: {d}"));
+        assert_eq!(warm.runs[0].unit_memo_hits, hits, "{label}: memo hits");
+        assert_eq!(
+            warm.runs[0].unit_memo_misses,
+            n - hits,
+            "{label}: memo misses"
+        );
+    };
+    let base = copts(true);
+    batch("base", &base, &gcc, 0);
+    batch("base again", &base, &gcc, n);
+    for (label, copts, profile) in &variants {
+        batch(label, copts, profile, 0);
+        batch(&format!("base after {label}"), &base, &gcc, n);
+    }
+}
+
+#[test]
+fn an_entry_that_sat_out_an_edit_recomputes() {
+    sat_out_edit::<DriverFs>();
+    sat_out_edit::<OpaqueFs>();
+}
+
+/// Lint {a.c, b.c}; edit a header only b.c includes; lint {a.c}, whose
+/// batch consumes the change set; lint {a.c, b.c}. b.c's entry was last
+/// proven before the edit, and the change set that named the edit went
+/// to a batch b.c sat out, so b.c must take the full probe and
+/// recompute instead of replaying its stale report.
+fn sat_out_edit<T: Tree>() {
+    let a = vec!["a.c".to_string()];
+    let both = vec!["a.c".to_string(), "b.c".to_string()];
+    let opts = options(true);
+    for jobs in [1usize, 2, 8] {
+        let label = format!("tree={} jobs={jobs}", T::NAME);
+        let fs = T::fixture();
+        fs.edit("include/b.h", "#define B_WIDTH 1\n");
+        fs.edit(
+            "b.c",
+            "#include <b.h>\nint b_fn(void) { return B_WIDTH; }\n",
+        );
+        let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), jobs);
+        pool.run(&both, &copts(true));
+        fs.edit(
+            "include/b.h",
+            "#define B_WIDTH 2\n#ifdef B_FEATURE\nint b_feature;\n#endif\n",
+        );
+        let only_a = pool.run(&a, &copts(true));
+        assert_eq!(
+            (only_a.unit_memo_hits, only_a.unit_memo_misses),
+            (1, 0),
+            "{label}: a.c replays"
+        );
+        let warm = pool.run(&both, &copts(true));
+        assert_eq!(
+            (warm.unit_memo_hits, warm.unit_memo_misses),
+            (1, 1),
+            "{label}: memo hits and misses"
+        );
+        assert!(!warm.units[1].memo_hit, "{label}: b.c recomputes");
+        let fresh = process_corpus(&*fs, &both, &opts, &copts(false));
+        let render = |r| cli::render_lint_report(r, LintFormat::Json, false);
+        assert!(
+            render(&fresh).stdout.contains("B_FEATURE"),
+            "{label}: the edit shows in the response"
+        );
+        assert_eq!(render(&warm), render(&fresh), "{label}: response");
+    }
+}
+
+/// A tree whose read of `a.c` panics while armed.
+struct PanickyFs {
+    tree: DriverFs,
+    armed: AtomicBool,
+}
+
+impl FileSystem for PanickyFs {
+    fn read(&self, path: &str) -> Option<Arc<str>> {
+        if path == "a.c" && self.armed.load(Ordering::SeqCst) {
+            panic!("read of a.c failed");
+        }
+        self.tree.read(path)
+    }
+}
+
+#[test]
+fn a_worker_lost_outside_the_firewall_leaves_a_failure_row() {
+    // A memo probe reads the tree outside the per-unit panic firewall,
+    // so a panicking read kills the worker that probes a.c. Its task
+    // becomes a "worker" failure row instead of a panic on the calling
+    // thread, the other worker answers the rest, and the next batch
+    // runs on the worker left.
+    let units = units();
+    let opts = options(true);
+    let fs = Arc::new(PanickyFs {
+        tree: fixture(),
+        armed: AtomicBool::new(false),
+    });
+    let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2);
+    pool.run(&units, &copts(true));
+    fs.armed.store(true, Ordering::SeqCst);
+    let lost = pool.run(&units, &copts(true));
+    let stage = lost.units[0].failure.as_ref().map(|f| f.stage.as_str());
+    assert_eq!(stage, Some("worker"), "a.c: no worker answered");
+    assert!(
+        lost.units[1..].iter().all(|u| u.memo_hit),
+        "the rest replay"
+    );
+    fs.armed.store(false, Ordering::SeqCst);
+    let healed = pool.run(&units, &copts(true));
+    let cold = process_corpus(&fs.tree, &units, &opts, &copts(false));
+    cold.check_same(&healed, SAME_MODE)
+        .unwrap_or_else(|d| panic!("after the loss: {d}"));
 }
