@@ -276,7 +276,9 @@ pub struct UnitReport {
     /// [`render_trip`]), deterministic across schedules for the
     /// deterministic budgets.
     pub degradations: Vec<String>,
-    /// Static choice nodes in the AST.
+    /// Static choice nodes in the AST, counted once per path through its
+    /// shared subtrees (`SemVal::choice_count`). The engine's
+    /// `ParseStats::choice_nodes` counts the ones it built instead.
     pub choice_nodes: usize,
     /// Rendered per-configuration parse errors.
     pub errors: Vec<String>,
@@ -987,10 +989,11 @@ impl<G: FileSystem + Clone> Worker<G> {
     ///
     /// A task handed a memo entry (a pooled warm re-run) probes it
     /// first through the path rows: a valid entry replays its stored
-    /// report and skips the pipeline entirely. On a warm batch each
-    /// recomputed unit hands back the entry to store, with the
-    /// include-closure fingerprint the preprocessor just observed. The
-    /// worker never touches the memo itself.
+    /// report and skips the pipeline entirely. The probe reads the
+    /// tree, so it runs inside the firewall with the pipeline. On a warm
+    /// batch each recomputed unit hands back the entry to store, with
+    /// the include-closure fingerprint the preprocessor just observed.
+    /// The worker never touches the memo itself.
     ///
     /// On a caught panic the tool may hold arbitrary mid-unit state, so
     /// that profile's tool is rebuilt — only the **mutable layer** (BDD
@@ -1011,30 +1014,35 @@ impl<G: FileSystem + Clone> Worker<G> {
                 let profile = &batch.profiles[p];
                 let i = *rows[p].get_or_insert_with(|| self.tool_for(profile));
                 let tool = &mut self.tools[i].1;
-                let pp = tool.preprocessor();
-                if let Some(valid) = probe
-                    .as_ref()
-                    .filter(|e| e.revalidates(&|q| pp.dep_hash(q)))
-                {
-                    out.units.push((*t, Arc::clone(&valid.report)));
-                    continue;
-                }
                 // Panic firewall: a poisoned unit becomes a structured
                 // failure row instead of unwinding through the thread join.
-                let report = match firewalled(|| process_one(tool, path, &batch.copts)) {
+                // The memo probe reads the tree, so it runs inside too.
+                let run = firewalled(|| {
+                    let pp = tool.preprocessor();
+                    match probe
+                        .as_ref()
+                        .filter(|e| e.revalidates(&|q| pp.dep_hash(q)))
+                    {
+                        Some(valid) => Arc::clone(&valid.report),
+                        None => Arc::new(process_one(tool, path, &batch.copts)),
+                    }
+                });
+                let report = match run {
                     Ok(report) => report,
                     Err(message) => {
                         self.tools[i].1 = self.build(profile);
-                        UnitReport::failed(path, "panic", &format!("panic: {message}"))
+                        let message = format!("panic: {message}");
+                        Arc::new(UnitReport::failed(path, "panic", &message))
                     }
                 };
-                if batch.copts.warm {
+                // A replay (the stored report, `memo_hit` set) keeps its entry.
+                if batch.copts.warm && !report.memo_hit {
                     let pp = self.tools[i].1.preprocessor();
                     if let Some(e) = Stored::new(pp.unit_deps(), pp.unit_neg_deps(), &report) {
                         out.stored.push((*t, e));
                     }
                 }
-                out.units.push((*t, Arc::new(report)));
+                out.units.push((*t, report));
             }
         }
         // The gauges cover every tool the worker holds. A pooled worker

@@ -218,6 +218,7 @@ pub fn corpus_table(report: &CorpusReport) -> TextTable {
         .iter()
         .filter(|u| u.failure.as_ref().is_some_and(|f| f.stage == "panic"))
         .count();
+    let ast_choice_nodes: usize = report.units.iter().map(|u| u.choice_nodes).sum();
     let mut rows = vec![
         ("units", Behavior, report.units.len().to_string()),
         ("parsed", Behavior, report.parsed_units().to_string()),
@@ -225,6 +226,10 @@ pub fn corpus_table(report: &CorpusReport) -> TextTable {
         ("partial", Behavior, report.partial_units().to_string()),
         ("firewalled", Behavior, firewalled.to_string()),
         ("lints", Behavior, report.lint_count().to_string()),
+        // Choice nodes of the unfolded ASTs, once per path (see
+        // `UnitReport::choice_nodes`); `fmlr.choice_nodes` counts the
+        // ones the engine built.
+        ("ast_choice_nodes", Behavior, ast_choice_nodes.to_string()),
         ("workers", Schedule, report.workers.to_string()),
         ("wall", Timing, format!("{:?}", report.wall)),
         (

@@ -1,6 +1,14 @@
 //! AST queries used by downstream tools and the examples: declared
 //! names with their presence conditions, function definitions, and
 //! per-configuration unparsing.
+//!
+//! The AST is a DAG whose choice alternatives share subtrees (see
+//! `superc_fmlr`'s `semval` module). [`declared_names`] walks it with
+//! [`SemVal::visit_pruned`], so it costs the distinct nodes plus its
+//! output, not the unfolded tree. The per-declaration helpers
+//! (specifier text, declarator shape) and [`unparse_config`] produce
+//! text of the unfolded subtree they render, so their cost is their
+//! output's.
 
 use std::rc::Rc;
 
@@ -142,9 +150,16 @@ fn declarator_shape(v: &SemVal, name_pos: Option<SourcePos>) -> String {
 
 /// Collects every top-level declared name (declarations, function
 /// definitions, enumerators) with its presence condition.
+///
+/// A declaration reached by several paths through the shared AST yields
+/// one name per path, each under its own condition. Whether a node
+/// declares anything does not depend on the condition, so the walk
+/// skips every revisit of a shared subtree that declared nothing (see
+/// [`SemVal::visit_pruned`]).
 pub fn declared_names(ast: &SemVal) -> Vec<DeclaredName> {
     let mut out = Vec::new();
-    ast.visit(&mut |n, cond| {
+    ast.visit_pruned(&mut |n, cond| {
+        let before = out.len();
         let grab = |decl: Option<&SemVal>, specs: Option<&SemVal>, out: &mut Vec<DeclaredName>| {
             let mut specifiers = String::new();
             if let Some(s) = specs {
@@ -196,6 +211,7 @@ pub fn declared_names(ast: &SemVal) -> Vec<DeclaredName> {
             }
             _ => {}
         }
+        out.len() > before
     });
     out
 }

@@ -4,6 +4,15 @@
 //! with *static choice nodes* at merge points carrying one child per
 //! configuration (§2, Figure 1c). Values are reference-counted so forked
 //! subparsers share everything up to their divergence.
+//!
+//! The finished AST is therefore a DAG: the alternatives of a choice
+//! hold the same `Rc` subtrees, and its unfolding (one copy per path)
+//! can be many times its distinct nodes, exponentially so in the worst
+//! case. Every whole-tree query goes through one iterative walk that
+//! memoizes each shared subtree once: [`SemVal::node_count`] and
+//! [`SemVal::choice_count`] cost the distinct nodes, and
+//! [`SemVal::visit_pruned`] skips the revisits that would produce
+//! nothing. Only [`SemVal::visit`] still calls back once per path.
 
 use std::fmt;
 use std::rc::Rc;
@@ -11,6 +20,7 @@ use std::rc::Rc;
 use superc_cond::Cond;
 use superc_cpp::PTok;
 use superc_grammar::SymbolId;
+use superc_util::FastMap;
 
 /// An AST node: a reduced production with its children.
 #[derive(Clone, Debug)]
@@ -38,6 +48,30 @@ pub enum SemVal {
     Choice(Rc<Vec<(Cond, SemVal)>>),
     /// No value (layout productions).
     Empty,
+}
+
+/// Node and choice totals of an unfolded tree, saturating at
+/// `usize::MAX` instead of wrapping.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    nodes: usize,
+    choices: usize,
+}
+
+impl Tally {
+    fn add(&mut self, other: Tally) {
+        self.nodes = self.nodes.saturating_add(other.nodes);
+        self.choices = self.choices.saturating_add(other.choices);
+    }
+
+    /// What was added since `start`. Totals only grow within one walk,
+    /// so once one saturates every later total is `usize::MAX` anyway.
+    fn since(self, start: Tally) -> Tally {
+        Tally {
+            nodes: self.nodes - start.nodes,
+            choices: self.choices - start.choices,
+        }
+    }
 }
 
 impl SemVal {
@@ -98,45 +132,108 @@ impl SemVal {
         }
     }
 
-    /// Counts AST nodes (choice alternatives all counted).
+    /// Counts the AST nodes of the unfolded tree: a node reached by
+    /// several paths counts once per path, and every choice alternative
+    /// counts. Saturates at `usize::MAX`. Costs the distinct nodes, not
+    /// the unfolded tree (see [`SemVal::visit_pruned`]).
     pub fn node_count(&self) -> usize {
-        match self {
-            SemVal::Node(n) => 1 + n.children.iter().map(SemVal::node_count).sum::<usize>(),
-            SemVal::Choice(alts) => alts.iter().map(|(_, v)| v.node_count()).sum(),
-            _ => 0,
-        }
+        self.walk(&mut |_, _| false).nodes
     }
 
-    /// Counts static choice nodes.
+    /// Counts the static choice nodes of the unfolded tree, once per path
+    /// like [`SemVal::node_count`]. Saturates at `usize::MAX`; costs the
+    /// distinct nodes.
     pub fn choice_count(&self) -> usize {
-        match self {
-            SemVal::Node(n) => n.children.iter().map(SemVal::choice_count).sum(),
-            SemVal::Choice(alts) => 1 + alts.iter().map(|(_, v)| v.choice_count()).sum::<usize>(),
-            _ => 0,
-        }
+        self.walk(&mut |_, _| false).choices
     }
 
     /// Visits every node in the tree, including inside choices, calling
     /// `f` with the node and the presence condition in effect (None at
     /// the unconditioned root).
+    ///
+    /// `f` runs once per *path* to a node, in pre-order, so on a shared
+    /// tree this costs the unfolded tree, not the distinct nodes: a chain
+    /// of `k` choices whose alternatives share the rest of the chain is
+    /// visited `2^k` times. A query that produces something at few nodes
+    /// should use [`SemVal::visit_pruned`].
     pub fn visit(&self, f: &mut dyn FnMut(&AstNode, Option<&Cond>)) {
-        fn go(v: &SemVal, cond: Option<&Cond>, f: &mut dyn FnMut(&AstNode, Option<&Cond>)) {
+        self.walk(&mut |n, cond| {
+            f(n, cond);
+            true
+        });
+    }
+
+    /// Like [`SemVal::visit`], but `f` answers whether it produced
+    /// anything at the node, and a shared subtree whose first visit
+    /// produced nothing is not walked again. If what `f` produces
+    /// depends on the node and not on the condition, it produces exactly
+    /// what it would under `visit`, in the same order.
+    ///
+    /// Costs the distinct nodes, plus one walk of a producing shared
+    /// subtree for each further path into it (its silent shared parts
+    /// are skipped there too): what `f` produces in a shared subtree it
+    /// still produces once per path, by contract.
+    pub fn visit_pruned(&self, f: &mut dyn FnMut(&AstNode, Option<&Cond>) -> bool) {
+        self.walk(f);
+    }
+
+    /// The one walk behind every whole-tree query: an explicit stack in
+    /// the unfolded tree's pre-order, which memoizes each shared subtree
+    /// once. Only an `Rc` held more than once can be reached by a second
+    /// path, so only those are keyed (by address). A revisit of one whose
+    /// first visit `f` answered `false` throughout adds its totals
+    /// without walking it; any other revisit walks it again.
+    fn walk(&self, f: &mut dyn FnMut(&AstNode, Option<&Cond>) -> bool) -> Tally {
+        enum Step<'a> {
+            Enter(&'a SemVal, Option<&'a Cond>),
+            /// Ends the first visit of a shared subtree: its key, and the
+            /// totals and `f`'s `true` answers when it began.
+            Leave(*const (), Tally, usize),
+        }
+        // Per shared subtree: its totals if its first visit was silent.
+        let mut memo: FastMap<*const (), Option<Tally>> = FastMap::default();
+        let mut tally = Tally::default();
+        let mut produced = 0usize;
+        let mut stack = vec![Step::Enter(self, None)];
+        while let Some(step) = stack.pop() {
+            let (v, cond) = match step {
+                Step::Enter(v, cond) => (v, cond),
+                Step::Leave(key, start, before) => {
+                    memo.insert(key, (produced == before).then(|| tally.since(start)));
+                    continue;
+                }
+            };
+            let shared = match v {
+                SemVal::Node(n) if Rc::strong_count(n) > 1 => Some(Rc::as_ptr(n).cast()),
+                SemVal::Choice(c) if Rc::strong_count(c) > 1 => Some(Rc::as_ptr(c).cast()),
+                _ => None,
+            };
+            if let Some(key) = shared {
+                match memo.get(&key) {
+                    Some(Some(sub)) => {
+                        tally.add(*sub);
+                        continue;
+                    }
+                    Some(None) => {}
+                    None => stack.push(Step::Leave(key, tally, produced)),
+                }
+            }
             match v {
                 SemVal::Node(n) => {
-                    f(n, cond);
-                    for ch in &n.children {
-                        go(ch, cond, f);
+                    tally.nodes = tally.nodes.saturating_add(1);
+                    if f(n, cond) {
+                        produced += 1;
                     }
+                    stack.extend(n.children.iter().rev().map(|ch| Step::Enter(ch, cond)));
                 }
                 SemVal::Choice(alts) => {
-                    for (c, v) in alts.iter() {
-                        go(v, Some(c), f);
-                    }
+                    tally.choices = tally.choices.saturating_add(1);
+                    stack.extend(alts.iter().rev().map(|(c, alt)| Step::Enter(alt, Some(c))));
                 }
                 _ => {}
             }
         }
-        go(self, None, f);
+        tally
     }
 
     fn fmt_indent(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {

@@ -861,12 +861,11 @@ impl FileSystem for PanickyFs {
 }
 
 #[test]
-fn a_worker_lost_outside_the_firewall_leaves_a_failure_row() {
-    // A memo probe reads the tree outside the per-unit panic firewall,
-    // so a panicking read kills the worker that probes a.c. Its task
-    // becomes a "worker" failure row instead of a panic on the calling
-    // thread, the other worker answers the rest, and the next batch
-    // runs on the worker left.
+fn a_memo_probe_that_panics_leaves_a_panic_row_and_keeps_the_worker() {
+    // A memo probe reads the tree inside the per-unit panic firewall,
+    // so a panicking read of a.c becomes a "panic" row for that unit:
+    // the worker rebuilds that profile's tool and stays in the pool, the
+    // rest replay, and the next batch matches a cold run.
     let units = units();
     let opts = options(true);
     let fs = Arc::new(PanickyFs {
@@ -876,16 +875,17 @@ fn a_worker_lost_outside_the_firewall_leaves_a_failure_row() {
     let mut pool = CorpusRunner::new(&opts, Arc::clone(&fs), 2);
     pool.run(&units, &copts(true));
     fs.armed.store(true, Ordering::SeqCst);
-    let lost = pool.run(&units, &copts(true));
-    let stage = lost.units[0].failure.as_ref().map(|f| f.stage.as_str());
-    assert_eq!(stage, Some("worker"), "a.c: no worker answered");
+    let caught = pool.run(&units, &copts(true));
+    let stage = caught.units[0].failure.as_ref().map(|f| f.stage.as_str());
+    assert_eq!(stage, Some("panic"), "a.c: the firewall caught the read");
     assert!(
-        lost.units[1..].iter().all(|u| u.memo_hit),
+        caught.units[1..].iter().all(|u| u.memo_hit),
         "the rest replay"
     );
     fs.armed.store(false, Ordering::SeqCst);
     let healed = pool.run(&units, &copts(true));
+    assert_eq!(pool.jobs(), 2, "no worker was lost");
     let cold = process_corpus(&fs.tree, &units, &opts, &copts(false));
     cold.check_same(&healed, SAME_MODE)
-        .unwrap_or_else(|d| panic!("after the loss: {d}"));
+        .unwrap_or_else(|d| panic!("after the panic: {d}"));
 }
