@@ -23,7 +23,9 @@
  *
  * Output contract: superc_parse/superc_lint return the EXACT bytes a
  * fresh one-shot `superc` / `superc lint --format <f>` run would print
- * over the same tree (stdout as the return value, stderr via out-param).
+ * over the same tree (stdout as the return value, stderr via out-param),
+ * for one unit as for many: the CLI prints a single file through the
+ * same corpus renderer, every warning and condition included.
  *
  * Error contract: failing calls return -1 or NULL; superc_last_error()
  * returns the newest message. No call unwinds or aborts on internal

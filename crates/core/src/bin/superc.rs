@@ -3,6 +3,10 @@
 //!
 //! ```text
 //! superc [OPTIONS] <file.c>...
+//!   Parses each file as a compilation unit: one corpus batch, printed in
+//!   input order with every condition canonical, the same bytes for one
+//!   file or many, any --jobs, and the daemon's `parse` over the same
+//!   units.
 //!   -I <dir>          add an include search directory (repeatable)
 //!   -D <name[=val]>   define a macro
 //!   --sat             use the SAT condition backend (TypeChef-style)
@@ -14,8 +18,8 @@
 //!   --preprocess      print the configuration-preserving preprocessed text
 //!   --ast             print the AST with static choice nodes
 //!   --stats           print preprocessor/parser statistics
-//!   --jobs <N>        parse N compilation units in parallel
-//!                     (default: available parallelism; 1 = sequential)
+//!   --jobs <N>        parse N compilation units in parallel (default:
+//!                     available parallelism; never more than the units)
 //!   --no-fastpath     disable the deterministic parser fast path and
 //!                     fused lexing (output is byte-identical either way;
 //!                     this is an escape hatch and differential-testing
@@ -84,9 +88,9 @@ use std::process::ExitCode;
 
 use superc::analyze::{LintCode, LintLevel, LintOptions};
 use superc::cli::{self, LintFormat, Rendered};
-use superc::corpus::{Capture, CorpusOptions, CorpusRunner};
+use superc::corpus::{default_jobs, Capture, CorpusOptions, CorpusRunner};
 use superc::service::Driver;
-use superc::{CondBackend, DiskFs, Options, ParserConfig, PpOptions, Profile, SuperC};
+use superc::{CondBackend, DiskFs, Options, ParserConfig, PpOptions, Profile};
 
 struct LintArgs {
     format: LintFormat,
@@ -366,82 +370,7 @@ fn main() -> ExitCode {
     if let Some(lint) = &args.lint {
         return run_lint(&args, lint);
     }
-    // Multi-file runs always go through the corpus driver, even with
-    // `--jobs 1`: the driver renders conditions canonically and prints in
-    // input order, so output is byte-identical for any job count. Warm
-    // re-runs need the pooled driver regardless of file count.
-    if args.files.len() > 1 || args.warm > 0 {
-        return run_parallel(&args);
-    }
-    let mut sc = SuperC::new(args.options, DiskFs::new("."));
-    let mut failed = false;
-    for file in &args.files {
-        match sc.process(file) {
-            Err(e) => {
-                eprintln!("{file}: fatal: {e}");
-                failed = true;
-            }
-            Ok(p) => {
-                for d in &p.unit.diagnostics {
-                    if !matches!(d.severity, superc::cpp::Severity::Note) {
-                        eprintln!("{file}: [{:?}] under {}: {}", d.severity, d.cond, d.message);
-                    }
-                }
-                for e in &p.result.errors {
-                    // Positions render with the file *name* (matching the
-                    // corpus driver), not the raw numeric `FileId`.
-                    match e.pos {
-                        Some(pos) => {
-                            let name = sc.preprocessor().file_name(pos.file).unwrap_or("<unknown>");
-                            eprintln!(
-                                "{file}: {name}:{}:{}: {} (at '{}', config {})",
-                                pos.line, pos.col, e.message, e.got, e.cond
-                            );
-                        }
-                        None => eprintln!("{file}: {e}"),
-                    }
-                    failed = true;
-                }
-                for t in &p.result.trips {
-                    eprintln!("{file}: warning: {}", superc::corpus::render_trip(t));
-                }
-                if args.show_preprocessed {
-                    println!("{}", p.unit.display_text());
-                }
-                if args.show_ast {
-                    match &p.result.ast {
-                        Some(ast) => println!("{ast}"),
-                        None => eprintln!("{file}: no configuration parsed"),
-                    }
-                }
-                if args.show_stats {
-                    let s = &p.unit.stats;
-                    let ps = &p.result.stats;
-                    println!(
-                        "{file}: {} tokens, {} conditionals, {} macro invocations \
-                         ({} hoisted), {ps}, {:?} total",
-                        s.output_tokens,
-                        s.output_conditionals,
-                        s.macro_invocations,
-                        s.invocations_hoisted,
-                        p.timings.total()
-                    );
-                    let report = superc::CorpusReport::of_unit(&sc, file, &p);
-                    print!("{}", superc::report::corpus_table(&report).render());
-                }
-                if let Some(acc) = &p.result.accepted {
-                    if !acc.is_true() {
-                        eprintln!("{file}: parses only under {acc}");
-                    }
-                }
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    run_parse(&args)
 }
 
 /// Applies the `--edit` patches scheduled before 1-based warm run `run`
@@ -459,10 +388,11 @@ fn apply_edits(args: &Args, run: usize) -> Result<(), String> {
 /// Runs the corpus over one pooled [`CorpusRunner`] rooted at the
 /// working directory, `batch` running one batch: once, or with
 /// `--warm N` N times with the unit result memo on and the scheduled
-/// `--edit`s applied at each batch boundary. Returns only the final
-/// batch's report — the one the caller prints, and the one bench/verify
-/// scripts compare byte-for-byte against a cold run over the final
-/// tree.
+/// `--edit`s applied at each batch boundary. The pool spawns no more
+/// workers than a batch has tasks (units × profile rows). Returns only
+/// the final batch's report — the one the caller prints, and the one
+/// bench/verify scripts compare byte-for-byte against a cold run over
+/// the final tree.
 fn run_corpus<R>(
     args: &Args,
     mut copts: CorpusOptions,
@@ -470,7 +400,13 @@ fn run_corpus<R>(
 ) -> Result<R, String> {
     copts.warm = args.warm > 0;
     let fs = std::sync::Arc::new(DiskFs::new("."));
-    let mut pool = CorpusRunner::new(&args.options, fs, args.jobs);
+    let rows = args.lint.as_ref().map_or(1, |l| l.profiles.len().max(1));
+    let jobs = if args.jobs == 0 {
+        default_jobs()
+    } else {
+        args.jobs
+    };
+    let mut pool = CorpusRunner::new(&args.options, fs, jobs.min(args.files.len() * rows));
     apply_edits(args, 1)?;
     let mut report = batch(&mut pool, &copts);
     for run in 2..=args.warm {
@@ -501,10 +437,10 @@ fn run_lint(args: &Args, lint: &LintArgs) -> ExitCode {
     })
 }
 
-/// Multi-file parallel path: fan out over the corpus driver, then print
-/// per-unit results in input order (so output is stable for any job
-/// count).
-fn run_parallel(args: &Args) -> ExitCode {
+/// `superc <files>`: one corpus batch over the files, printed in input
+/// order through the renderer the daemon and the C API print with, so
+/// the bytes are the same for any file count and job count.
+fn run_parse(args: &Args) -> ExitCode {
     let copts = CorpusOptions {
         jobs: args.jobs,
         capture: Capture {

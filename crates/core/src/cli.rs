@@ -42,10 +42,13 @@ pub fn render_records(format: LintFormat, records: &[Record]) -> String {
     render::document(format, [&Fragment::new(format, records)])
 }
 
-/// Renders a plain parse run over the corpus driver: per-unit fatal
-/// errors, diagnostics, parse errors, and degradations on stderr;
-/// captured preprocessed text, ASTs, and stats tables on stdout — in
-/// input order, so the bytes are stable for any job count.
+/// Renders a plain parse run over the corpus driver, whatever its unit
+/// count: per-unit fatal errors, preprocessor warnings and errors, parse
+/// errors, degradations and the accepted condition of a unit that
+/// parses under some configurations only on stderr; captured
+/// preprocessed text, ASTs, and stats tables on stdout — in input
+/// order, with every condition canonical, so the bytes are stable for
+/// any job count.
 pub fn render_corpus_report(report: &CorpusReport, show_ast: bool, show_stats: bool) -> Rendered {
     let mut out = Rendered::default();
     for u in &report.units {
@@ -55,7 +58,7 @@ pub fn render_corpus_report(report: &CorpusReport, show_ast: bool, show_stats: b
             continue;
         }
         for d in &u.diagnostics {
-            let _ = writeln!(out.stderr, "{}: [Error] {d}", u.path);
+            let _ = writeln!(out.stderr, "{}: {d}", u.path);
         }
         for e in &u.errors {
             let _ = writeln!(out.stderr, "{}: {e}", u.path);
@@ -76,6 +79,9 @@ pub fn render_corpus_report(report: &CorpusReport, show_ast: bool, show_stats: b
                     let _ = writeln!(out.stderr, "{}: no configuration parsed", u.path);
                 }
             }
+        }
+        if let Some(cond) = u.accepted.as_deref().filter(|c| *c != "true") {
+            let _ = writeln!(out.stderr, "{}: parses only under {cond}", u.path);
         }
         if show_stats {
             let _ = writeln!(

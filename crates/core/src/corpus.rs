@@ -141,6 +141,7 @@ use std::sync::{mpsc, Arc, Once};
 use std::time::{Duration, Instant};
 
 use superc_analyze::portability::{diff_profiles, sort_records, PortEntry, PortKind};
+use superc_analyze::render::canonical;
 use superc_bdd::BddStats;
 use superc_cond::{CondBackend, CondCtx, CondStats};
 use superc_cpp::{FileSystem, PpStats, Profile, Severity, SharedCache};
@@ -246,11 +247,7 @@ pub struct UnitFailure {
 /// condition in *canonical* form so the string is byte-identical across
 /// worker counts and schedules (raw condition display is not).
 pub fn render_trip(trip: &BudgetTrip) -> String {
-    format!(
-        "{} under {}",
-        trip.describe(),
-        superc_analyze::render::canonical(&trip.cond)
-    )
+    format!("{} under {}", trip.describe(), canonical(&trip.cond))
 }
 
 /// The outcome of one compilation unit, reduced to thread-portable data
@@ -282,8 +279,13 @@ pub struct UnitReport {
     pub choice_nodes: usize,
     /// Rendered per-configuration parse errors.
     pub errors: Vec<String>,
-    /// Rendered preprocessor diagnostics of `Error` severity.
+    /// Rendered preprocessor warnings and errors, each
+    /// `[Severity] file:line:col: message (config <canonical>)`; notes
+    /// are left out.
     pub diagnostics: Vec<String>,
+    /// The configurations that parse, in canonical form; `None` when
+    /// none does.
+    pub accepted: Option<String>,
     /// Lint findings, when [`CorpusOptions::lint`] is set (sorted and
     /// deterministic; see `superc_analyze`).
     pub lints: Vec<superc_analyze::Record>,
@@ -403,23 +405,6 @@ impl CorpusReport {
             }
         }
         Ok(())
-    }
-
-    /// A one-unit report for a unit `tool` processed outside the corpus
-    /// driver, with the tool's condition-context gauges: the CLI's
-    /// single-file path renders it, so its `--stats` table is the one a
-    /// corpus run prints.
-    pub fn of_unit<F: FileSystem>(
-        tool: &SuperC<F>,
-        path: &str,
-        processed: &ProcessedUnit,
-    ) -> CorpusReport {
-        let unit = unit_report(tool, path, processed, &CorpusOptions::default());
-        CorpusReport {
-            cond: tool.ctx().stats(),
-            bdd: tool.ctx().bdd_stats(),
-            ..CorpusReport::new(vec![Arc::new(unit)], 1, processed.timings.total())
-        }
     }
 
     /// A report over `units` with their counters merged and every gauge
@@ -1539,6 +1524,7 @@ impl UnitReport {
             choice_nodes: 0,
             errors: Vec::new(),
             diagnostics: Vec::new(),
+            accepted: None,
             lints: Vec::new(),
             portability: Vec::new(),
             fatal: Some(message.to_string()),
@@ -1663,7 +1649,7 @@ fn unit_report<F: FileSystem>(
             .errors
             .iter()
             .map(|e| {
-                let cond = superc_analyze::render::canonical(&e.cond);
+                let cond = canonical(&e.cond);
                 match e.pos {
                     Some(p) => {
                         let file = tool.preprocessor().file_name(p.file).unwrap_or("<unknown>");
@@ -1682,15 +1668,23 @@ fn unit_report<F: FileSystem>(
             .unit
             .diagnostics
             .iter()
-            .filter(|d| matches!(d.severity, Severity::Error))
+            .filter(|d| d.severity != Severity::Note)
             .map(|d| {
                 let file = tool
                     .preprocessor()
                     .file_name(d.pos.file)
                     .unwrap_or("<unknown>");
-                format!("{file}:{}:{}: {}", d.pos.line, d.pos.col, d.message)
+                format!(
+                    "[{:?}] {file}:{}:{}: {} (config {})",
+                    d.severity,
+                    d.pos.line,
+                    d.pos.col,
+                    d.message,
+                    canonical(&d.cond)
+                )
             })
             .collect(),
+        accepted: processed.result.accepted.as_ref().map(canonical),
         lints,
         portability,
         phase_nanos: [

@@ -206,8 +206,7 @@ impl TextTable {
 /// preprocessor, parser, condition-context and BDD stats. Behavior and
 /// mode rows always print, so two runs' tables compare row for row;
 /// schedule and timing rows print when nonzero, and each
-/// `_hits`/`_misses` pair adds its hit rate. A single-file run prints
-/// the same table over [`CorpusReport::of_unit`].
+/// `_hits`/`_misses` pair adds its hit rate.
 pub fn corpus_table(report: &CorpusReport) -> TextTable {
     use Class::{Behavior, Schedule, Timing};
     let mut t = TextTable::new(&["counter", "class", "value"]);

@@ -21,6 +21,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
+use crate::locks::{lock, read, write};
+
 /// Source of included files.
 pub trait FileSystem {
     /// Reads a file by exact path. `None` when absent.
@@ -45,13 +47,16 @@ pub trait FileSystem {
 ///
 /// `system` is true for `<...>` includes; `including_dir` is the
 /// directory of the including file (searched first for `"..."`), then
-/// the bare name, then each search path. Returns the first candidate
-/// that exists. Every candidate tried *before* it is pushed onto
-/// `failed` (all of them when resolution fails outright): those failed
-/// probes are negative dependencies of the including unit, since
-/// creating a file at any of them later changes the answer, which is
-/// exactly what the warm unit memo's fingerprints must detect (see
-/// `superc::corpus`).
+/// the bare name, then each search path. Each candidate is spelled
+/// lexically normalized (`.` and empty segments dropped, `seg/..`
+/// folded), so every spelling of a file probes and reads one path; an
+/// absolute name is the one candidate, joined to no directory. Returns
+/// the first candidate that exists. Every candidate tried *before* it
+/// is pushed onto `failed` (all of them when resolution fails
+/// outright): those failed probes are negative dependencies of the
+/// including unit, since creating a file at any of them later changes
+/// the answer, which is exactly what the warm unit memo's fingerprints
+/// must detect (see `superc::corpus`).
 ///
 /// # Examples
 ///
@@ -78,11 +83,14 @@ pub fn resolve_include(
     mut exists: impl FnMut(&str) -> bool,
     failed: &mut Vec<String>,
 ) -> Option<String> {
-    let local = (!system && !including_dir.is_empty()).then(|| join(including_dir, name));
+    let relative = !name.starts_with('/');
+    let local =
+        (relative && !system && !including_dir.is_empty()).then(|| join(including_dir, name));
+    let searched = search_paths.iter().filter(|_| relative);
     let candidates = local
         .into_iter()
-        .chain(std::iter::once_with(|| name.to_string()))
-        .chain(search_paths.iter().map(|dir| join(dir, name)));
+        .chain(std::iter::once_with(|| normalize(name)))
+        .chain(searched.map(|dir| join(dir, name)));
     for candidate in candidates {
         if exists(&candidate) {
             return Some(candidate);
@@ -118,11 +126,26 @@ impl<F: FileSystem + ?Sized> FileSystem for Arc<F> {
 }
 
 fn join(dir: &str, name: &str) -> String {
-    if dir.is_empty() {
-        name.to_string()
-    } else {
-        format!("{}/{}", dir.trim_end_matches('/'), name)
+    normalize(&format!("{dir}/{name}"))
+}
+
+/// `path` spelled lexically normalized: `.` and empty segments dropped
+/// and each `seg/..` folded, so `src/../include/./x.h` is
+/// `include/x.h`. A leading `..` stays, as does a leading `/`. Symbolic
+/// links are not consulted: `dir/..` always folds.
+fn normalize(path: &str) -> String {
+    let mut segs: Vec<&str> = Vec::new();
+    for seg in path.split('/') {
+        match seg {
+            "" | "." => {}
+            ".." if segs.last().is_some_and(|s| *s != "..") => {
+                segs.pop();
+            }
+            _ => segs.push(seg),
+        }
     }
+    let root = if path.starts_with('/') { "/" } else { "" };
+    format!("{root}{}", segs.join("/"))
 }
 
 /// An in-memory file tree.
@@ -251,38 +274,37 @@ impl DriverFs {
     }
 
     fn stage(&self, path: &str, entry: Option<Arc<str>>) {
-        self.overlay
-            .write()
-            .expect("driver fs poisoned")
-            .insert(path.to_string(), entry);
-        if let Some(log) = self.changed.lock().expect("driver fs poisoned").as_mut() {
+        write(&self.overlay).insert(path.to_string(), entry);
+        if let Some(log) = lock(&self.changed).as_mut() {
             log.insert(path.to_string());
         }
     }
 
-    /// Installs (or clears) the fallback resolver.
+    /// Installs (or clears) the fallback resolver. The change log is
+    /// reset first, so it is reset even when dropping the old resolver
+    /// panics.
     pub fn set_resolver(&self, resolver: Option<ResolverFn>) {
-        *self.resolver.write().expect("driver fs poisoned") = resolver;
-        *self.changed.lock().expect("driver fs poisoned") = None;
+        *lock(&self.changed) = None;
+        *write(&self.resolver) = resolver;
     }
 
     /// Records an error on the last-error channel (newest wins).
     pub fn record_error(&self, msg: String) {
-        *self.last_error.lock().expect("driver fs poisoned") = Some(msg);
+        *lock(&self.last_error) = Some(msg);
     }
 
     /// The most recent error, if any (does not clear it).
     pub fn last_error(&self) -> Option<String> {
-        self.last_error.lock().expect("driver fs poisoned").clone()
+        lock(&self.last_error).clone()
     }
 }
 
 impl FileSystem for DriverFs {
     fn read(&self, path: &str) -> Option<Arc<str>> {
-        if let Some(entry) = self.overlay.read().expect("driver fs poisoned").get(path) {
+        if let Some(entry) = read(&self.overlay).get(path) {
             return entry.clone();
         }
-        let resolver = self.resolver.read().expect("driver fs poisoned");
+        let resolver = read(&self.resolver);
         match resolver.as_ref()?(path) {
             Ok(contents) => contents.map(Arc::from),
             Err(e) => {
@@ -300,12 +322,8 @@ impl FileSystem for DriverFs {
     /// on the first call, while a resolver is installed, and on the
     /// first call after a resolver swap (see the type docs).
     fn take_changes(&self) -> Option<Vec<String>> {
-        let log = self
-            .changed
-            .lock()
-            .expect("driver fs poisoned")
-            .replace(BTreeSet::new());
-        if self.resolver.read().expect("driver fs poisoned").is_some() {
+        let log = lock(&self.changed).replace(BTreeSet::new());
+        if read(&self.resolver).is_some() {
             return None;
         }
         log.map(|paths| paths.into_iter().collect())
@@ -386,5 +404,23 @@ mod shared_fs_tests {
             None
         );
         assert_eq!(failed, ["src/r.h", "r.h", "none/r.h", "inc/r.h"]);
+        // Candidates are spelled normalized; an absolute name is probed
+        // as the one candidate.
+        let fs = fs.file("include/x.h", "").file("/abs/y.h", "");
+        let exists = |p: &str| fs.read(p).is_some();
+        failed.clear();
+        let up = resolve_include(
+            "../include/./x.h",
+            false,
+            "src//a",
+            &paths,
+            exists,
+            &mut failed,
+        );
+        assert_eq!(up.as_deref(), Some("include/x.h"));
+        assert_eq!(failed, ["src/include/x.h", "../include/x.h"]);
+        failed.clear();
+        let abs = resolve_include("/abs//y.h", false, "src", &paths, exists, &mut failed);
+        assert_eq!((abs.as_deref(), failed.len()), (Some("/abs/y.h"), 0));
     }
 }

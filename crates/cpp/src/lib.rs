@@ -49,6 +49,7 @@ mod directives;
 mod elements;
 mod expand;
 mod files;
+mod locks;
 mod macrotable;
 mod preprocessor;
 mod profile;

@@ -97,13 +97,13 @@
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
-use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use superc_lexer::{FileId, SourcePos, Token, TokenKind};
 use superc_util::{FastMap, FastSet, FxBuildHasher};
 
 use crate::directives::{detect_pragma_once, RawGroup, RawItem, RawTest};
+use crate::locks::{lock, read, write};
 use crate::macrotable::MacroDef;
 
 /// Shard count; a small power of two is plenty — contention is already
@@ -549,24 +549,6 @@ impl Orphans {
             }
         }
     }
-}
-
-// The cache's locks never fail. Every critical section under a shard or
-// orphan lock is a map lookup, insert, removal or counter step, none of
-// which panics, so no lock is poisoned; and if one were, its map would
-// still be a valid cache of what a re-read or re-lex rebuilds (the
-// artifact slots recover the same way, in `get_or_make`).
-
-fn read<T>(rw: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    rw.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write<T>(rw: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    rw.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for SharedCache {

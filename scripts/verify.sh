@@ -129,6 +129,50 @@ if [[ "$out" != "$ref" ]]; then
 fi
 echo "verify: kernel corpus smoke OK"
 
+# One parse path: `superc u.c` is a one-unit corpus batch, so it must
+# print exactly what `superc u.c ok.c` prints, warnings, conditions
+# and the accepted condition included, and exit the same, where ok.c
+# prints nothing. Every robustness fixture runs under the pathological
+# leg's budgets; the kernel units include at least one with an #error,
+# the first of which the daemon leg parses alone.
+printf 'int agreement_ok;\n' >"$KGEN_DIR/ok.c"
+agree() { # dir unit cli-args...
+    local dir="$1" unit="$2" one=0 two=0 s
+    shift 2
+    (cd "$dir" && "$ROBUST_BIN" "$@" "$unit") \
+        >"$KGEN_DIR/.one.out" 2>"$KGEN_DIR/.one.err" || one=$?
+    (cd "$dir" && "$ROBUST_BIN" "$@" "$unit" ok.c) \
+        >"$KGEN_DIR/.two.out" 2>"$KGEN_DIR/.two.err" || two=$?
+    for s in out err; do
+        if ! cmp -s "$KGEN_DIR/.one.$s" "$KGEN_DIR/.two.$s"; then
+            echo "verify: superc $unit and superc $unit ok.c disagree on std$s" >&2
+            diff "$KGEN_DIR/.one.$s" "$KGEN_DIR/.two.$s" >&2 || true
+            exit 1
+        fi
+    done
+    if [[ "$one" != "$two" ]]; then
+        echo "verify: superc $unit exits $one, and $two beside ok.c" >&2
+        exit 1
+    fi
+}
+for u in "${ROBUST_UNITS[@]}"; do
+    [[ "$u" == ok.c ]] && continue
+    agree tests/fixtures/robustness "$u" \
+        --parse-budget 400 --max-subparsers 64 --include-depth 8
+done
+ERROR_UNIT=""
+for u in src/unit{0..7}.c; do
+    agree "$KGEN_DIR" "$u"
+    if [[ -z "$ERROR_UNIT" ]] && grep -q '#error' "$KGEN_DIR/.one.err"; then
+        ERROR_UNIT="$u"
+    fi
+done
+if [[ -z "$ERROR_UNIT" ]]; then
+    echo "verify: no kernel unit of the agreement leg printed an #error" >&2
+    exit 1
+fi
+echo "verify: one-unit and two-unit runs agree"
+
 # --stats leg: every `--stats` row names one declared counter with its
 # class (superc_util::counters). Behavior and mode rows must be
 # identical at every job count, and behavior rows also under
@@ -311,6 +355,10 @@ daemon_check() { # label request-line reference-cli-args...
 
 daemon_check "parse" "{\"cmd\":\"parse\",\"units\":$DAEMON_UNITS}" \
     --jobs 4 "${DUNITS[@]}"
+# One unit alone, with an #error: its condition and every warning are
+# in the response, as in `superc <unit>`.
+daemon_check "one-unit parse" "{\"cmd\":\"parse\",\"units\":[\"$ERROR_UNIT\"]}" \
+    "$ERROR_UNIT"
 # Every lint format. A request in the format of the one before it
 # reuses the unit fragments the daemon kept (the json request right
 # after the edit does too), and must still match the CLI.

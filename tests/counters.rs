@@ -9,19 +9,20 @@
 //!   kernelgen corpus and over the robustness fixtures under tight
 //!   budgets with one firewalled panic.
 //! * The `--stats` table prints every behavior and mode counter, derives
-//!   hit rates, counts only panics as firewalled, and prints the same
-//!   rows for a single file as for a one-unit corpus run.
+//!   hit rates and counts only panics as firewalled; a single file is a
+//!   one-unit corpus run, whose render adds its accepted condition.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use superc::analyze::LintOptions;
 use superc::bdd::BddStats;
+use superc::cli;
 use superc::cond::CondStats;
 use superc::corpus::{process_corpus, CorpusOptions, CorpusReport};
 use superc::counters::{Class, Counted};
 use superc::report::corpus_table;
-use superc::{Budgets, DiskFs, MemFs, Options, ParseStats, PpStats, SuperC};
+use superc::{Budgets, DiskFs, MemFs, Options, ParseStats, PpStats};
 use superc_kernelgen::{generate, CorpusSpec};
 
 /// The field names a struct's derived `Debug` prints for its default
@@ -208,22 +209,20 @@ fn stats_table_prints_every_behavior_and_mode_counter_and_hit_rates() {
 
 #[test]
 fn single_file_table_matches_a_one_unit_corpus_run() {
+    // `superc t.c` is a one-unit corpus batch: its render carries the
+    // accepted condition, and its table the unit's own counters.
     let src = "#ifdef CONFIG_WIDE\ntypedef long T;\n#else\nint T;\n#endif\nT * p;\n";
     let fs = MemFs::new().file("t.c", src);
-    let mut tool = SuperC::new(Options::default(), fs.clone());
-    let processed = tool.process("t.c").expect("processes");
-    let single = CorpusReport::of_unit(&tool, "t.c", &processed);
-    let corpus = process_corpus(
-        &fs,
-        &["t.c".to_string()],
-        &Options::default(),
-        &CorpusOptions::default(),
+    let units = ["t.c".to_string()];
+    let report = process_corpus(&fs, &units, &Options::default(), &CorpusOptions::default());
+    let rendered = cli::render_corpus_report(&report, false, true);
+    assert!(
+        rendered
+            .stderr
+            .ends_with("t.c: parses only under defined(CONFIG_WIDE)\n"),
+        "{}",
+        rendered.stderr
     );
-    let deterministic = |report: &CorpusReport| {
-        let mut rows = rows(report);
-        rows.retain(|_, (class, _)| class == "behavior" || class == "mode");
-        rows
-    };
-    assert_eq!(deterministic(&single), deterministic(&corpus));
-    assert_eq!(value(&rows(&single), "fmlr.forks"), "1");
+    assert!(rendered.stdout.ends_with(&corpus_table(&report).render()));
+    assert_eq!(value(&rows(&report), "fmlr.forks"), "1");
 }

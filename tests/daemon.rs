@@ -246,6 +246,49 @@ fn daemon_responses_match_fresh_one_shot_runs_across_jobs() {
     }
 }
 
+/// A unit with one finding of each kind a report keeps with its
+/// condition: a missing include (a warning), a conditional `#error`, and
+/// a conditional syntax error, which leaves the unit parsing under some
+/// configurations only.
+const FINDINGS: &str = "#include \"missing.h\"\n#ifdef CONFIG_BROKEN\n#error broken\n#endif\n\
+                        #ifdef CONFIG_A\nint a = ;\n#endif\nint f;\n";
+
+#[test]
+fn one_unit_parse_keeps_warnings_conditions_and_the_accepted_condition() {
+    let tree = Tree::new("findings");
+    tree.write("f.c", FINDINGS);
+    let mut driver = Driver::with_disk_root(Options::default(), 2, tree.root_str());
+    driver.end_generation().expect("commit the empty overlay");
+    let one = request(&mut driver, "{\"cmd\":\"parse\",\"units\":[\"f.c\"]}");
+    let fresh = process_corpus(
+        &DiskFs::new(tree.root.clone()),
+        &["f.c".to_string()],
+        &Options::default(),
+        &CorpusOptions::default(),
+    );
+    let want = cli::render_corpus_report(&fresh, false, false);
+    assert_rendered("one unit", &one, &want);
+    for line in [
+        "f.c: [Warning] f.c:1:1: include not found: missing.h (config true)\n",
+        "f.c: [Error] f.c:3:1: #error broken (config defined(CONFIG_BROKEN))\n",
+        "f.c: parses only under !defined(CONFIG_A)\n",
+    ] {
+        assert!(want.stderr.contains(line), "{line:?} in {:?}", want.stderr);
+    }
+    // Beside another unit, the unit prints the same lines.
+    let two = request(
+        &mut driver,
+        "{\"cmd\":\"parse\",\"units\":[\"f.c\",\"a.c\"]}",
+    );
+    let stderr = two.get("stderr").and_then(Json::as_str).expect("stderr");
+    let mine: String = stderr
+        .lines()
+        .filter(|l| l.starts_with("f.c: "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(mine, want.stderr);
+}
+
 /// The number a `stats` response reports under `key`.
 fn stat(stats: &Json, key: &str) -> Option<f64> {
     stats.get(key).and_then(Json::as_f64)

@@ -1,7 +1,8 @@
 //! Driver lifecycle: the service layer's embedding contract.
 //!
 //! * Resolver failures surface on the last-error channel — never a
-//!   panic across the service boundary.
+//!   panic across the service boundary — and a resolver whose `Drop`
+//!   panics as it is replaced leaves the driver serving.
 //! * Edit generations batch edits; committing one invalidates exactly
 //!   the units whose include closure saw the edit.
 //! * Misuse (requests mid-generation, edits outside one) is rejected
@@ -10,6 +11,8 @@
 //!   join; nothing hangs or unwinds).
 //! * Rendered requests are byte-identical to the one-shot CLI renderers
 //!   over the same tree.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use superc::analyze::LintOptions;
 use superc::cli::{self, LintFormat};
@@ -105,6 +108,40 @@ fn resolver_serves_includes_the_overlay_does_not_have() {
     assert_eq!(report.parsed_units(), 1);
     assert!(report.units[0].fatal.is_none());
     assert!(driver.last_error().is_none(), "no failure to report");
+}
+
+#[test]
+fn a_resolver_whose_drop_panics_leaves_the_driver_serving() {
+    /// Panics when the resolver holding it is dropped.
+    struct PanicsOnDrop;
+    impl Drop for PanicsOnDrop {
+        fn drop(&mut self) {
+            panic!("the old resolver's drop panics");
+        }
+    }
+    let mut driver = Driver::new(options(), 2);
+    driver.end_generation().expect("commit");
+    let doomed = PanicsOnDrop;
+    driver.set_resolver(Box::new(move |_| {
+        let _held = &doomed;
+        Ok(Some("int old;\n".to_string()))
+    }));
+    let swap = catch_unwind(AssertUnwindSafe(|| {
+        driver.set_resolver(Box::new(|path| {
+            Ok((path == "a.c").then(|| "#warning new resolver\nint fresh;\n".to_string()))
+        }))
+    }));
+    assert!(swap.is_err(), "dropping the old resolver panics");
+    // The swap poisoned the resolver's lock: every later request must
+    // still be answered, from the new resolver.
+    for round in 0..2 {
+        let report = driver.parse(&units()[..1]).expect("the driver serves");
+        assert_eq!(
+            report.units[0].diagnostics,
+            ["[Warning] a.c:1:1: #warning new resolver (config true)"],
+            "round {round}"
+        );
+    }
 }
 
 #[test]

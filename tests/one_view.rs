@@ -18,13 +18,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use superc::corpus::{process_corpus, CorpusOptions, CorpusRunner};
+use superc::corpus::{process_corpus, Capture, CorpusOptions, CorpusRunner};
 use superc::counters::Class;
 use superc::service::DriverFs;
 use superc::{FileSystem, MemFs, Options};
 
 /// Units `u0.c`..`u7.c` over a small header tree: every unit includes
-/// `<deep.h>` (which includes `"deeper.h"`), the odd ones `<leaf.h>`.
+/// `<deep.h>` (which includes `"deeper.h"`), the odd ones `<leaf.h>`;
+/// and [`UP`], which spells its include of the leaf header from its own
+/// directory, `"../include/leaf.h"`.
 fn fixture() -> DriverFs {
     let fs = DriverFs::new();
     fs.set("include/leaf.h", "int leaf_decl(int);\n#define LEAF 1\n");
@@ -48,13 +50,22 @@ fn fixture() -> DriverFs {
             &format!("{leaf}#include <deep.h>\nint u{u}_fn(void) {{ return {value}; }}\n"),
         );
     }
+    fs.set(
+        UP,
+        "#include \"../include/leaf.h\"\nint u8_fn(void) { return LEAF; }\n",
+    );
     fs
 }
 
 const UNITS: usize = 8;
 
+/// The unit that reaches `include/leaf.h` through `src/..`.
+const UP: &str = "src/u8.c";
+
 fn units() -> Vec<String> {
-    (0..UNITS).map(|u| format!("u{u}.c")).collect()
+    let mut units: Vec<String> = (0..UNITS).map(|u| format!("u{u}.c")).collect();
+    units.push(UP.to_string());
+    units
 }
 
 /// What the counting tree saw: per-path reads in the current batch,
@@ -152,16 +163,39 @@ fn each_touched_path_is_read_once_per_batch() {
                     reports,
                     log: Mutex::default(),
                 });
+                // Every unit's AST unparsed under the empty configuration,
+                // to see what the unit read.
+                let capture = Capture {
+                    unparse_configs: vec![Vec::new()],
+                    ..Capture::default()
+                };
                 let copts = CorpusOptions {
                     warm,
+                    capture,
                     ..CorpusOptions::default()
                 };
                 let mut pool = CorpusRunner::new(&options, Arc::clone(&fs), jobs);
 
                 let first = pool.run(&units, &copts);
-                assert_eq!(first.parsed_units(), UNITS, "{label}: fixture must parse");
+                assert_eq!(
+                    first.parsed_units(),
+                    units.len(),
+                    "{label}: fixture must parse"
+                );
+                let up = &first.units[UNITS].unparses[0];
+                assert!(
+                    up.contains("leaf_decl"),
+                    "{label}: {UP} must read the leaf: {up}"
+                );
                 let reads = fs.take_batch_reads();
                 assert_eq!(reread(&reads), [], "{label}: batch 1 rereads");
+                // One spelling, one read: `src/../include/leaf.h` is
+                // `include/leaf.h`.
+                assert_eq!(reads.get("include/leaf.h"), Some(&1), "{label}");
+                assert!(
+                    reads.keys().all(|p| !p.contains("..")),
+                    "{label}: {reads:?}"
+                );
                 let touched: BTreeSet<String> = reads.into_keys().collect();
                 // Units, headers, and the failed probes of `<leaf.h>`.
                 for path in ["u0.c", "include/deep.h", EDITED, "leaf.h", "deep.h"] {
